@@ -4,7 +4,7 @@
 //
 // Three measurements per thread count over the Stanford-like table:
 //
-//   * raw      — one thread-local Verifier per worker over a shared
+//   * raw      — verify_report on every worker over a shared
 //                const table: the scaling ceiling of the read path;
 //   * stream   — ParallelServer::verify_stream (chunked fan-out over a
 //                pre-collected vector) — kept for continuity with the
@@ -88,11 +88,10 @@ double measure_raw(const PathTable& table,
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < n; ++w) {
     workers.emplace_back([&table, &reports, &verified, &any_failure] {
-      Verifier v(table);  // thread-local verifier, shared const table
       for (std::size_t round = 0; round < rounds(); ++round)
         for (const TagReport& r : reports)
-          if (!v.verify(r).ok()) any_failure = true;
-      verified += v.verified();
+          if (!verify_report(r, table).ok()) any_failure = true;
+      verified += rounds() * reports.size();
     });
   }
   for (auto& t : workers) t.join();

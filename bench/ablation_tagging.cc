@@ -106,7 +106,6 @@ int main() {
     ConfigTransferProvider provider(space, topo, c.logical_configs());
     const PathTable table =
         PathTableBuilder(space, topo, provider, bits).build();
-    Verifier verifier(table);
     Localizer localizer(topo, c.logical_configs());
     const auto flows = workload::ping_all(topo);
 
@@ -130,7 +129,7 @@ int main() {
       for (const auto& f : flows) {
         const auto r = net.inject(f.header, f.entry);
         for (const TagReport& rep : r.reports) {
-          const bool bloom_fail = !verifier.verify(rep).ok();
+          const bool bloom_fail = !verify_report(rep, table).ok();
           const XorHashTag carried = xor_tag_of(r.path, bits);
           const std::vector<Hop> correct = logical_walk(
               topo, c.logical_configs(), rep.inport, rep.header);

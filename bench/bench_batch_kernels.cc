@@ -1,40 +1,26 @@
-// Batch-kernel microbenchmarks — the per-kernel perf trajectory of the
-// batched verification pipeline (DESIGN.md §11), plus the end-to-end
-// scalar-vs-batched memo-miss comparison the CI perf-smoke job gates on.
+// Batched-verify benchmark — the scalar-vs-batched memo-miss comparison
+// the CI perf-smoke job gates on (DESIGN.md §11).
 //
-// Four kernel rows, each scalar vs batched over the same inputs:
-//   * murmur3_12B   — murmur3_32 over one 12-byte hop at a time vs
-//                     murmur3_32_batch12 over the strided hop column;
-//   * hop_masks     — BloomTag::of_hop per hop vs BloomTag::hop_masks
-//                     over the hop column (hash + Kirsch–Mitzenmacher);
-//   * membership    — the localizer shape: BloomTag::may_contain per
-//                     candidate hop vs one hop_masks sweep plus the
-//                     bloom_contains_masks column kernel;
-//   * wire_decode   — wire::decode_report + ReportBatch::push per
-//                     datagram vs ReportBatch::push_wire straight into
-//                     the SoA columns.
+// Single-thread verify throughput on a unique (memo-miss) stream over
+// the FT(k) path table, scalar verify_epoch_aware vs
+// verify_epoch_aware_batch, with a batch-size sweep around the
+// autotuned default. Every batched rate honestly includes the SoA push
+// (bits_packed materialization and all) inside the timed region.
 //
-// Then the gate metric: single-thread verify throughput on a unique
-// (memo-miss) stream over the FT(k) path table, scalar
-// verify_epoch_aware vs verify_epoch_aware_batch, with a batch-size
-// sweep around the autotuned default. Every batched rate honestly
-// includes the SoA push (bits_packed materialization and all) inside
-// the timed region.
+// The JSON also keeps, frozen under "previous", the last measurement of
+// the hash/Bloom/wire-decode column kernels. They were deleted because
+// none beat its scalar twin.
 //
 // Results land in BENCH_batch_kernels.json (override the path with
-// VERIDP_BENCH_JSON). VERIDP_BENCH_QUICK=1 shrinks the topology,
-// kernel columns and repetitions for CI smoke runs — the speedup
-// ratios survive, the absolute rates are not comparable to full runs.
+// VERIDP_BENCH_JSON). VERIDP_BENCH_QUICK=1 shrinks the topology and
+// repetitions for CI smoke runs — the speedup ratio survives, the
+// absolute rates are not comparable to full runs.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bloom/bloom.hpp"
-#include "common/murmur3.hpp"
-#include "dataplane/wire.hpp"
 #include "veridp/report_batch.hpp"
 #include "veridp/verifier.hpp"
 
@@ -50,161 +36,6 @@ bool quick() { return std::getenv("VERIDP_BENCH_QUICK") != nullptr; }
 double now_minus(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// A random hop column shaped like real reports (small port ids, dense
-/// switch ids).
-std::vector<Hop> make_hops(std::size_t n) {
-  std::vector<Hop> hops;
-  hops.reserve(n);
-  Rng rng(606);
-  for (std::size_t i = 0; i < n; ++i) {
-    Hop h;
-    h.in = static_cast<PortId>(rng.uniform(1, 48));
-    h.sw = static_cast<SwitchId>(rng.uniform(0, 255));
-    h.out = static_cast<PortId>(rng.uniform(1, 48));
-    hops.push_back(h);
-  }
-  return hops;
-}
-
-struct KernelPoint {
-  std::string name;
-  std::size_t items = 0;        ///< column length per repetition
-  double scalar_per_s = 0.0;    ///< items/s, one call per item
-  double batch_per_s = 0.0;     ///< items/s through the batch kernel
-  [[nodiscard]] double speedup() const { return batch_per_s / scalar_per_s; }
-};
-
-void print_kernel(const KernelPoint& p) {
-  std::printf("%-12s  scalar %.0f/s   batch %.0f/s   %.2fx   (%zu items)\n",
-              p.name.c_str(), p.scalar_per_s, p.batch_per_s, p.speedup(),
-              p.items);
-}
-
-KernelPoint measure_murmur3(const std::vector<Hop>& hops, int reps) {
-  KernelPoint p;
-  p.name = "murmur3_12B";
-  p.items = hops.size();
-  const auto* data = reinterpret_cast<const std::byte*>(hops.data());
-  std::uint32_t sink = 0;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      for (std::size_t i = 0; i < hops.size(); ++i)
-        sink ^= murmur3_32(
-            std::span<const std::byte>(data + i * sizeof(Hop), sizeof(Hop)));
-    p.scalar_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  std::vector<std::uint32_t> out(hops.size());
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      murmur3_32_batch12(data, sizeof(Hop), hops.size(), out.data());
-    p.batch_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  volatile std::uint32_t keep = sink;  // keep the scalar loop live
-  (void)keep;
-  print_kernel(p);
-  return p;
-}
-
-KernelPoint measure_hop_masks(const std::vector<Hop>& hops, int reps) {
-  KernelPoint p;
-  p.name = "hop_masks";
-  p.items = hops.size();
-  std::uint64_t sink = 0;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      for (const Hop& h : hops) sink ^= BloomTag::of_hop(h, kTagBits).value();
-    p.scalar_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  std::vector<std::uint64_t> masks(hops.size());
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      BloomTag::hop_masks(hops.data(), hops.size(), kTagBits, masks.data());
-    p.batch_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  volatile std::uint64_t keep = sink;  // keep the scalar loop live
-  (void)keep;
-  print_kernel(p);
-  return p;
-}
-
-/// The localizer shape: many candidate hops tested against one report
-/// tag. The batched side pays the full pipeline — hop_masks sweep plus
-/// the membership column kernel — inside the timed region.
-KernelPoint measure_membership(const std::vector<Hop>& hops, int reps) {
-  KernelPoint p;
-  p.name = "membership";
-  p.items = hops.size();
-  BloomTag tag = BloomTag::of_path(hops.data(), std::min<std::size_t>(hops.size(), 12), kTagBits);
-  std::size_t hits_scalar = 0;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r)
-      for (const Hop& h : hops)
-        if (tag.may_contain(h)) ++hits_scalar;
-    p.scalar_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  std::vector<std::uint64_t> masks(hops.size());
-  std::vector<std::uint8_t> member(hops.size());
-  std::size_t hits_batch = 0;
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      BloomTag::hop_masks(hops.data(), hops.size(), kTagBits, masks.data());
-      bloom_contains_masks(tag.value(), masks.data(), hops.size(),
-                           member.data());
-      for (std::size_t i = 0; i < hops.size(); ++i) hits_batch += member[i];
-    }
-    p.batch_per_s = static_cast<double>(hops.size()) * reps / now_minus(t0);
-  }
-  if (hits_scalar != hits_batch)
-    std::printf("  (UNEXPECTED: membership disagreement %zu vs %zu!)\n",
-                hits_scalar, hits_batch);
-  print_kernel(p);
-  return p;
-}
-
-KernelPoint measure_wire_decode(const std::vector<TagReport>& stream,
-                                int reps) {
-  KernelPoint p;
-  p.name = "wire_decode";
-  p.items = stream.size();
-  std::vector<std::vector<std::uint8_t>> datagrams;
-  datagrams.reserve(stream.size());
-  for (const TagReport& r : stream) datagrams.push_back(wire::encode_report(r));
-
-  ReportBatch batch;
-  batch.reserve(stream.size());
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      batch.clear();
-      for (const auto& d : datagrams)
-        if (auto rep = wire::decode_report(d)) batch.push(*rep);
-    }
-    p.scalar_per_s = static_cast<double>(stream.size()) * reps / now_minus(t0);
-  }
-  if (batch.size() != stream.size())
-    std::printf("  (UNEXPECTED: scalar decode kept %zu of %zu!)\n",
-                batch.size(), stream.size());
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-      batch.clear();
-      for (const auto& d : datagrams) batch.push_wire(d);
-    }
-    p.batch_per_s = static_cast<double>(stream.size()) * reps / now_minus(t0);
-  }
-  if (batch.size() != stream.size())
-    std::printf("  (UNEXPECTED: batched decode kept %zu of %zu!)\n",
-                batch.size(), stream.size());
-  print_kernel(p);
-  return p;
 }
 
 struct SweepPoint {
@@ -292,8 +123,7 @@ double batch_rate(const std::vector<TagReport>& stream,
   return best;
 }
 
-VerifyGate measure_verify_gate(Setup& s, int reps,
-                               std::vector<TagReport>* out_stream) {
+VerifyGate measure_verify_gate(Setup& s, int reps) {
   ConfigTransferProvider provider(s.space, s.topo,
                                   s.controller.logical_configs());
   PathTable table =
@@ -307,7 +137,6 @@ VerifyGate measure_verify_gate(Setup& s, int reps,
     if (auto h = e.headers.sample(rng))
       unique.push_back(TagReport{in, out, *h, e.tag});
   });
-  if (out_stream) *out_stream = unique;
 
   VerifyGate g;
   g.setup = s.name;
@@ -333,8 +162,7 @@ VerifyGate measure_verify_gate(Setup& s, int reps,
   return g;
 }
 
-void write_json(const std::vector<KernelPoint>& kernels,
-                const VerifyGate& gate) {
+void write_json(const VerifyGate& gate) {
   const char* path = std::getenv("VERIDP_BENCH_JSON");
   if (!path) path = "BENCH_batch_kernels.json";
   std::FILE* f = std::fopen(path, "w");
@@ -346,21 +174,30 @@ void write_json(const std::vector<KernelPoint>& kernels,
                "{\n"
                "  \"bench\": \"batch_kernels\",\n"
                "  \"quick\": %s,\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"kernels\": [\n",
+               "  \"hardware_concurrency\": %u,\n",
                quick() ? "true" : "false",
                std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const KernelPoint& k = kernels[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items\": %zu, "
-                 "\"scalar_per_s\": %.0f, \"batch_per_s\": %.0f, "
-                 "\"speedup\": %.3f}%s\n",
-                 k.name.c_str(), k.items, k.scalar_per_s, k.batch_per_s,
-                 k.speedup(), i + 1 < kernels.size() ? "," : "");
-  }
+  // Last full run of the deleted column kernels on a 1-core container:
+  // items/s of each scalar routine vs its batched twin.
+  std::fprintf(
+      f,
+      "  \"previous\": [\n"
+      "    {\"label\": \"column kernels, deleted for losing to scalar\", "
+      "\"kernels\": [\n"
+      "      {\"name\": \"murmur3_12B\", \"items\": 131072, "
+      "\"scalar_per_s\": 231614732, \"batch_per_s\": 230198797, "
+      "\"speedup\": 0.994},\n"
+      "      {\"name\": \"bloom_of_hop\", \"items\": 131072, "
+      "\"scalar_per_s\": 110306983, \"batch_per_s\": 107302171, "
+      "\"speedup\": 0.973},\n"
+      "      {\"name\": \"membership\", \"items\": 131072, "
+      "\"scalar_per_s\": 105635518, \"batch_per_s\": 96782005, "
+      "\"speedup\": 0.916},\n"
+      "      {\"name\": \"wire_decode\", \"items\": 16384, "
+      "\"scalar_per_s\": 34251600, \"batch_per_s\": 32746362, "
+      "\"speedup\": 0.956}]}\n"
+      "  ],\n");
   std::fprintf(f,
-               "  ],\n"
                "  \"verify_memo_miss\": {\"setup\": \"%s\", "
                "\"reports\": %zu, \"batch_size\": %zu,\n"
                "    \"scalar_reports_per_s\": %.0f, "
@@ -381,38 +218,12 @@ void write_json(const std::vector<KernelPoint>& kernels,
 
 int main() {
   rule_header(quick()
-                  ? "Batch kernels: scalar vs batched (QUICK — ratios only)"
-                  : "Batch kernels: scalar vs batched");
+                  ? "Batched verify: scalar vs batched (QUICK — ratio only)"
+                  : "Batched verify: scalar vs batched");
 
-  const std::size_t column = quick() ? 1u << 14 : 1u << 17;
-  const int kernel_reps = quick() ? 20 : 100;
   const int verify_reps = quick() ? 2 : 3;
-
-  const std::vector<Hop> hops = make_hops(column);
-  std::vector<KernelPoint> kernels;
-  kernels.push_back(measure_murmur3(hops, kernel_reps));
-  kernels.push_back(measure_hop_masks(hops, kernel_reps));
-  kernels.push_back(measure_membership(hops, kernel_reps));
-
   Setup ft = quick() ? make_fat_tree(4) : make_fat_tree(8);
-  std::vector<TagReport> unique;
-  const VerifyGate gate = measure_verify_gate(ft, verify_reps, &unique);
-
-  // Wire decode over the gate's report stream — realistic field
-  // distributions — tiled up to a timeable column length.
-  {
-    std::vector<TagReport> stream;
-    const std::size_t want = quick() ? 4096u : 16384u;
-    stream.reserve(want);
-    while (stream.size() < want && !unique.empty()) {
-      TagReport r = unique[stream.size() % unique.size()];
-      r.seq = static_cast<std::uint32_t>(stream.size());
-      stream.push_back(r);
-    }
-    kernels.push_back(measure_wire_decode(stream, kernel_reps / 4 + 1));
-  }
-
-  write_json(kernels, gate);
+  write_json(measure_verify_gate(ft, verify_reps));
   std::printf("\ntarget: batched memo-miss verify >= 1.5x memoized scalar "
               "(CI gate), >= 5M reports/s full run\n");
   return 0;

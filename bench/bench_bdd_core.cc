@@ -1,25 +1,21 @@
-// BDD-core old-vs-new benchmark — the perf trajectory for the
-// cache-conscious engine rewrite.
+// BDD-core benchmark — the perf trajectory of the cache-conscious engine:
+// flat node pool with the open-addressing full-triple unique table,
+// bounded direct-mapped apply cache, per-build transfer memo, and the
+// per-snapshot VerifyMemo fast path.
 //
-// "old" is the pre-rewrite configuration, kept alive behind
-// Engine::kLegacy: unordered_map unique table with the XOR-packed key,
-// unbounded node-keyed op cache, and a path-table builder that calls
-// transfer()/atoms() afresh at every traversal step (set_transfer_reuse
-// off). "new" is the shipping default: flat node pool with the
-// open-addressing full-triple unique table, bounded direct-mapped apply
-// cache, per-build transfer memo, and the per-snapshot VerifyMemo fast
-// path. Both engines produce bit-identical BddRefs for identical call
-// sequences (tested by BddEngines.IdenticalCallSequencesYieldIdenticalRefs),
-// so every row below compares equal work.
-//
-// Three measurements, each old vs new:
+// Three measurements:
 //   * build        — full path-table construction on fat-tree(8) and the
 //                    Stanford-like backbone (the §6.2 workhorse tables);
 //   * incremental  — per-rule §4.4 flow-forest updates on Internet2;
 //   * verify       — per-report verification throughput over the FT(8)
 //                    table, on a unique stream (memo-neutral: every probe
 //                    misses) and on a duplicate-heavy stream (Fig-9-style
-//                    resampling of hot flows, where the memo pays off).
+//                    resampling of hot flows, where the memo pays off),
+//                    scalar and batched.
+//
+// The JSON also keeps, frozen under "previous", the last measurement of
+// the pre-rewrite configuration (unordered_map tables, no transfer memo,
+// no verify memo), which was deleted once the rewrite had replaced it.
 //
 // Results land in BENCH_bdd_core.json (override the path with the
 // VERIDP_BENCH_JSON env var).
@@ -53,73 +49,36 @@ double now_minus(const std::chrono::steady_clock::time_point& t0) {
 
 struct BuildPoint {
   std::string setup;
-  double old_s = 0.0;
-  double new_s = 0.0;
+  double build_s = 0.0;
   std::size_t paths = 0;
-  std::size_t new_nodes = 0;
-  [[nodiscard]] double speedup() const { return old_s / new_s; }
+  std::size_t live_nodes = 0;
 };
 
-/// One timed full build with an explicit engine + reuse configuration.
-/// Returns {seconds, paths, live BDD nodes}.
-std::tuple<double, std::size_t, std::size_t> timed_build_cfg(
-    const Topology& topo, const Controller& controller, Engine engine,
-    bool reuse) {
-  HeaderSpace space(engine);
-  if (engine == Engine::kPooled) space.reserve(1u << 18);
-  ConfigTransferProvider provider(space, topo, controller.logical_configs());
-  PathTableBuilder builder(space, topo, provider, kTagBits);
-  builder.set_transfer_reuse(reuse);
+BuildPoint measure_build(Setup& s) {
+  HeaderSpace space;
+  space.reserve(1u << 18);
+  ConfigTransferProvider provider(space, s.topo,
+                                  s.controller.logical_configs());
+  PathTableBuilder builder(space, s.topo, provider, kTagBits);
   const auto t0 = std::chrono::steady_clock::now();
   PathTable table = builder.build();
-  const double dt = now_minus(t0);
-  return {dt, table.stats().num_paths, space.manager().node_count()};
-}
-
-BuildPoint measure_build(Setup& s) {
   BuildPoint p;
   p.setup = s.name;
-  auto [old_s, old_paths, old_nodes] =
-      timed_build_cfg(s.topo, s.controller, Engine::kLegacy, false);
-  (void)old_nodes;
-  auto [new_s, new_paths, new_nodes] =
-      timed_build_cfg(s.topo, s.controller, Engine::kPooled, true);
-  if (old_paths != new_paths)
-    std::printf("  (UNEXPECTED: old/new path counts differ: %zu vs %zu!)\n",
-                old_paths, new_paths);
-  p.old_s = old_s;
-  p.new_s = new_s;
-  p.paths = new_paths;
-  p.new_nodes = new_nodes;
-  std::printf("%-12s  old %.3f s   new %.3f s   %.2fx   (%zu paths, %zu "
-              "live nodes)\n",
-              p.setup.c_str(), p.old_s, p.new_s, p.speedup(), p.paths,
-              p.new_nodes);
+  p.build_s = now_minus(t0);
+  p.paths = table.stats().num_paths;
+  p.live_nodes = space.manager().node_count();
+  std::printf("%-12s  build %.3f s   (%zu paths, %zu live nodes)\n",
+              p.setup.c_str(), p.build_s, p.paths, p.live_nodes);
   return p;
 }
 
 struct IncrementalPoint {
   std::size_t rules = 0;
-  double old_mean_ms = 0.0;
-  double new_mean_ms = 0.0;
-  [[nodiscard]] double speedup() const { return old_mean_ms / new_mean_ms; }
+  double mean_ms = 0.0;
 };
 
 /// fig14-shaped: populate all but the last Internet2 router, then install
 /// the held-back rules one by one through the flow forest.
-double incremental_mean_ms(const Topology& topo,
-                           const std::vector<SwitchConfig>& initial,
-                           const std::vector<FlowRule>& held_back,
-                           SwitchId last, Engine engine) {
-  HeaderSpace space(engine);
-  IncrementalUpdater updater(space, topo);
-  updater.initialize(initial);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const FlowRule& r : held_back)
-    updater.apply(RuleEvent{RuleEvent::Kind::kAdd, last, r});
-  return now_minus(t0) * 1000.0 / static_cast<double>(held_back.size());
-}
-
 IncrementalPoint measure_incremental() {
   Topology topo = internet2_like(6 * scale());
   const SwitchId last = static_cast<SwitchId>(topo.num_switches() - 1);
@@ -141,15 +100,18 @@ IncrementalPoint measure_incremental() {
         initial[static_cast<std::size_t>(s)].table.add(r);
     }
 
+  HeaderSpace space;
+  IncrementalUpdater updater(space, topo);
+  updater.initialize(initial);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const FlowRule& r : held_back)
+    updater.apply(RuleEvent{RuleEvent::Kind::kAdd, last, r});
+
   IncrementalPoint p;
   p.rules = held_back.size();
-  p.old_mean_ms =
-      incremental_mean_ms(topo, initial, held_back, last, Engine::kLegacy);
-  p.new_mean_ms =
-      incremental_mean_ms(topo, initial, held_back, last, Engine::kPooled);
-  std::printf("Internet2     old %.3f ms/rule   new %.3f ms/rule   %.2fx   "
-              "(%zu rules)\n",
-              p.old_mean_ms, p.new_mean_ms, p.speedup(), p.rules);
+  p.mean_ms = now_minus(t0) * 1000.0 / static_cast<double>(p.rules);
+  std::printf("Internet2     %.3f ms/rule   (%zu rules)\n", p.mean_ms,
+              p.rules);
   return p;
 }
 
@@ -157,11 +119,9 @@ struct VerifyPoint {
   std::size_t reports = 0;       ///< unique reports (one per path)
   std::size_t hot_flows = 0;     ///< distinct flows in the dup stream
   std::size_t dup_stream = 0;    ///< duplicate-heavy stream length
-  double unique_old_rps = 0.0;   ///< memo off, every report distinct
-  double unique_new_rps = 0.0;   ///< memo on, every probe misses
+  double unique_memo_rps = 0.0;  ///< memo on, every probe misses
   double unique_batch_rps = 0.0; ///< batched pipeline, memo on, all miss
-  double dup_old_rps = 0.0;      ///< memo off, hot-flow resampled stream
-  double dup_new_rps = 0.0;      ///< memo on, duplicates hit
+  double dup_memo_rps = 0.0;     ///< memo on, duplicates hit
   double dup_batch_rps = 0.0;    ///< batched pipeline on the dup stream
   double memo_hit_rate = 0.0;    ///< hits/lookups on the duplicate stream
   std::size_t batch_size = 0;    ///< lanes per verify_epoch_aware_batch
@@ -235,20 +195,18 @@ VerifyPoint measure_verify(Setup& s) {
   p.hot_flows = hot;
   p.dup_stream = dup.size();
   p.batch_size = autotuned_batch_size();
-  p.unique_old_rps = measure_verify_rate(unique, tables, nullptr);
   {
     VerifyMemo memo;
-    p.unique_new_rps = measure_verify_rate(unique, tables, &memo);
+    p.unique_memo_rps = measure_verify_rate(unique, tables, &memo);
   }
   {
     VerifyMemo memo;
     p.unique_batch_rps =
         measure_verify_batch_rate(unique, tables, &memo, p.batch_size);
   }
-  p.dup_old_rps = measure_verify_rate(dup, tables, nullptr);
   {
     VerifyMemo memo;
-    p.dup_new_rps = measure_verify_rate(dup, tables, &memo);
+    p.dup_memo_rps = measure_verify_rate(dup, tables, &memo);
     p.memo_hit_rate = static_cast<double>(memo.hits()) /
                       static_cast<double>(memo.lookups());
   }
@@ -257,14 +215,12 @@ VerifyPoint measure_verify(Setup& s) {
     p.dup_batch_rps =
         measure_verify_batch_rate(dup, tables, &memo, p.batch_size);
   }
-  std::printf("%-12s  unique: old %.0f/s new %.0f/s (%.2fx) batch %.0f/s "
-              "(%.2fx)\n              hot %zu/%zu: old %.0f/s new %.0f/s "
-              "(%.2fx, hit rate %.2f) batch %.0f/s\n",
-              s.name.c_str(), p.unique_old_rps, p.unique_new_rps,
-              p.unique_new_rps / p.unique_old_rps, p.unique_batch_rps,
-              p.unique_batch_rps / p.unique_new_rps, p.hot_flows,
-              p.dup_stream, p.dup_old_rps, p.dup_new_rps,
-              p.dup_new_rps / p.dup_old_rps, p.memo_hit_rate,
+  std::printf("%-12s  unique: memo %.0f/s batch %.0f/s (%.2fx)\n"
+              "              hot %zu/%zu: memo %.0f/s (hit rate %.2f) "
+              "batch %.0f/s\n",
+              s.name.c_str(), p.unique_memo_rps, p.unique_batch_rps,
+              p.unique_batch_rps / p.unique_memo_rps, p.hot_flows,
+              p.dup_stream, p.dup_memo_rps, p.memo_hit_rate,
               p.dup_batch_rps);
   return p;
 }
@@ -278,43 +234,49 @@ void write_json(const std::vector<BuildPoint>& builds,
     std::printf("cannot write %s\n", path);
     return;
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"bdd_core\",\n"
-               "  \"old\": \"legacy engine (unordered_map unique table, "
-               "unbounded op cache), transfer reuse off, no verify memo\",\n"
-               "  \"new\": \"pooled engine (open-addressing unique table, "
-               "bounded direct-mapped cache), transfer reuse on, verify "
-               "memo on\",\n"
-               "  \"build\": [\n");
+  // Last run of the deleted pre-rewrite configuration, same workloads,
+  // 1-core container.
+  std::fprintf(
+      f,
+      "{\n"
+      "  \"bench\": \"bdd_core\",\n"
+      "  \"previous\": [\n"
+      "    {\"label\": \"legacy engine (unordered_map unique table, "
+      "unbounded op cache), transfer reuse off, no verify memo\",\n"
+      "     \"build\": [{\"setup\": \"FT(k=8)\", \"old_s\": 0.0095}, "
+      "{\"setup\": \"Stanford\", \"old_s\": 2.8843}],\n"
+      "     \"incremental\": {\"setup\": \"Internet2\", \"rules\": 1758, "
+      "\"old_mean_ms\": 0.2359},\n"
+      "     \"verify\": {\"setup\": \"FT(k=8)\", "
+      "\"unique_old_reports_per_s\": 3659411, "
+      "\"dup_old_reports_per_s\": 4404652}}\n"
+      "  ],\n"
+      "  \"build\": [\n");
   for (std::size_t i = 0; i < builds.size(); ++i) {
     const BuildPoint& b = builds[i];
     std::fprintf(f,
-                 "    {\"setup\": \"%s\", \"old_s\": %.4f, \"new_s\": %.4f, "
-                 "\"speedup\": %.3f, \"paths\": %zu, \"live_nodes\": %zu}%s\n",
-                 b.setup.c_str(), b.old_s, b.new_s, b.speedup(), b.paths,
-                 b.new_nodes, i + 1 < builds.size() ? "," : "");
+                 "    {\"setup\": \"%s\", \"build_s\": %.4f, "
+                 "\"paths\": %zu, \"live_nodes\": %zu}%s\n",
+                 b.setup.c_str(), b.build_s, b.paths, b.live_nodes,
+                 i + 1 < builds.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n"
                "  \"incremental\": {\"setup\": \"Internet2\", \"rules\": %zu, "
-               "\"old_mean_ms\": %.4f, \"new_mean_ms\": %.4f, "
-               "\"speedup\": %.3f},\n",
-               inc.rules, inc.old_mean_ms, inc.new_mean_ms, inc.speedup());
+               "\"mean_ms\": %.4f},\n",
+               inc.rules, inc.mean_ms);
   std::fprintf(
       f,
       "  \"verify\": {\"setup\": \"FT(k=8)\", \"reports\": %zu, "
       "\"hot_flows\": %zu, \"dup_stream\": %zu, \"batch_size\": %zu,\n"
-      "    \"unique_old_reports_per_s\": %.0f, "
-      "\"unique_new_reports_per_s\": %.0f, "
+      "    \"unique_memo_reports_per_s\": %.0f, "
       "\"unique_batch_reports_per_s\": %.0f,\n"
-      "    \"dup_old_reports_per_s\": %.0f, "
-      "\"dup_new_reports_per_s\": %.0f, "
+      "    \"dup_memo_reports_per_s\": %.0f, "
       "\"dup_batch_reports_per_s\": %.0f, \"memo_hit_rate\": %.4f}\n"
       "}\n",
       vp.reports, vp.hot_flows, vp.dup_stream, vp.batch_size,
-      vp.unique_old_rps, vp.unique_new_rps, vp.unique_batch_rps,
-      vp.dup_old_rps, vp.dup_new_rps, vp.dup_batch_rps, vp.memo_hit_rate);
+      vp.unique_memo_rps, vp.unique_batch_rps, vp.dup_memo_rps,
+      vp.dup_batch_rps, vp.memo_hit_rate);
   std::fclose(f);
   std::printf("\nwrote %s\n", path);
 }
@@ -322,7 +284,7 @@ void write_json(const std::vector<BuildPoint>& builds,
 }  // namespace
 
 int main() {
-  rule_header("BDD core: old vs new engine (build / update / verify)");
+  rule_header("BDD core: build / update / verify");
 
   std::vector<BuildPoint> builds;
   {
@@ -340,7 +302,5 @@ int main() {
   const VerifyPoint vp = measure_verify(ft);
 
   write_json(builds, inc, vp);
-  std::printf("\ntarget: >=1.5x on the FT(8) full build, no regression on "
-              "unique-stream verification\n");
   return 0;
 }

@@ -45,15 +45,16 @@ Fixture& internet2() {
 }
 
 void bm_verify(benchmark::State& state, Fixture& f) {
-  Verifier v(f.table);
   std::size_t i = 0;
+  std::size_t failed = 0;
   for (auto _ : state) {
-    const Verdict verdict = v.verify(f.reports[i]);
+    const Verdict verdict = verify_report(f.reports[i], f.table);
     benchmark::DoNotOptimize(verdict);
+    if (!verdict.ok()) ++failed;
     i = (i + 1) % f.reports.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  if (v.failed() != 0) state.SkipWithError("unexpected verification failure");
+  if (failed != 0) state.SkipWithError("unexpected verification failure");
 }
 
 void BM_Verify_Stanford(benchmark::State& state) { bm_verify(state, stanford()); }

@@ -56,11 +56,11 @@ int main() {
   HeaderSpace space;
   ConfigTransferProvider provider(space, topo, controller.logical_configs());
   const PathTable table = PathTableBuilder(space, topo, provider).build();
-  Verifier verifier(table);
 
   auto run = [&](const char* label, Network& net) {
     const auto r = net.inject(to_vip(), PortKey{0, 3});
-    const bool ok = !r.reports.empty() && verifier.verify(r.reports.back()).ok();
+    const bool ok =
+        !r.reports.empty() && verify_report(r.reports.back(), table).ok();
     std::printf("%-28s exit dst %-12s at %s  => %s\n", label,
                 to_string(r.reports.back().header.dst_ip).c_str(),
                 to_string(r.exit).c_str(), ok ? "VERIFIED" : "INCONSISTENT");

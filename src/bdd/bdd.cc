@@ -32,19 +32,6 @@ constexpr std::size_t kUniqueInitSlots = std::size_t{1} << 16;
 constexpr std::size_t kOpCacheInitEntries = std::size_t{1} << 14;
 constexpr std::size_t kOpCacheMaxEntries = std::size_t{1} << 20;
 
-// Legacy engine: packs (var, low, high) into a 64-bit unique-table key.
-// Collides silently once an index field crosses 2^24 — the collision
-// class the pooled engine's full-triple keying eliminates; preserved
-// verbatim for old-vs-new benchmarking.
-std::uint64_t pack_unique(std::int32_t var, BddRef low, BddRef high) {
-  // The documented legacy collision class above -- kept verbatim so the
-  // old-vs-new benchmark measures the real historical behaviour.
-  // veridp-lint: allow(xor-hash-key)
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(var)) << 48) ^
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(low)) << 24) ^
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(high));
-}
-
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -53,8 +40,7 @@ std::size_t next_pow2(std::size_t n) {
 
 }  // namespace
 
-BddManager::BddManager(int num_vars, Engine engine)
-    : engine_(engine), num_vars_(num_vars) {
+BddManager::BddManager(int num_vars) : num_vars_(num_vars) {
   assert(num_vars >= 0 && num_vars < (1 << 15));
 #if defined(VERIDP_BDD_CHECK_ARENA)
   arena_gen_ = next_arena_generation();
@@ -65,12 +51,10 @@ BddManager::BddManager(int num_vars, Engine engine)
   nodes_.reserve(1 << 16);
   nodes_.push_back(Node{num_vars_, kBddFalse, kBddFalse});
   nodes_.push_back(Node{num_vars_, kBddTrue, kBddTrue});
-  if (engine_ == Engine::kPooled) {
-    slots_.assign(kUniqueInitSlots, kBddFalse);
-    slot_mask_ = kUniqueInitSlots - 1;
-    op_slots_.assign(kOpCacheInitEntries, ApplyEntry{});
-    op_mask_ = kOpCacheInitEntries - 1;
-  }
+  slots_.assign(kUniqueInitSlots, kBddFalse);
+  slot_mask_ = kUniqueInitSlots - 1;
+  op_slots_.assign(kOpCacheInitEntries, ApplyEntry{});
+  op_mask_ = kOpCacheInitEntries - 1;
 }
 
 std::uint64_t BddManager::hash_triple(std::int32_t var, BddRef low,
@@ -145,10 +129,6 @@ void BddManager::maybe_grow_caches() {
 
 void BddManager::reserve(std::size_t nodes) {
   nodes_.reserve(nodes + 2);
-  if (engine_ == Engine::kLegacy) {
-    unique_.reserve(nodes);
-    return;
-  }
   const std::size_t want_slots = nodes * 10 / 7 + 1;  // keep load < 0.7
   if (want_slots > slots_.size()) grow_unique(want_slots);
   if (op_slots_.size() < kOpCacheMaxEntries && nodes > op_slots_.size()) {
@@ -180,15 +160,6 @@ BddRef BddManager::intern(std::int32_t var, BddRef low, BddRef high) {
 
 BddRef BddManager::make_node(std::int32_t var, BddRef low, BddRef high) {
   if (low == high) return low;  // reduction rule
-  if (engine_ == Engine::kLegacy) {
-    const std::uint64_t key = pack_unique(var, low, high);
-    auto [it, inserted] = unique_.try_emplace(key, 0);
-    if (!inserted) return it->second;
-    nodes_.push_back(Node{var, low, high});
-    const BddRef ref = static_cast<BddRef>(nodes_.size() - 1);
-    it->second = ref;
-    return ref;
-  }
   return intern(var, low, high);
 }
 
@@ -214,7 +185,6 @@ void BddManager::die_cross_arena(const char* op, BddRef tagged,
 #endif
 
 void BddManager::degrade_hash_for_test(int keep_bits) {
-  assert(engine_ == Engine::kPooled);
   assert(keep_bits >= 0 && keep_bits <= 64);
   hash_keep_bits_ = keep_bits;
   grow_unique(slots_.size());  // rehash in place under the degraded hash
@@ -268,23 +238,9 @@ BddRef BddManager::apply(Op op, BddRef a, BddRef b) {
   if ((op == Op::And || op == Op::Or || op == Op::Xor) && a > b)
     std::swap(a, b);
 
-  const bool legacy = engine_ == Engine::kLegacy;
-  CacheKey legacy_key{0};
-  if (legacy) {
-    // Legacy-engine key, preserved verbatim (see pack_unique).
-    // veridp-lint: allow(xor-hash-key)
-    legacy_key =
-        CacheKey{(static_cast<std::uint64_t>(static_cast<int>(op)) << 60) ^
-                 (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))
-                  << 30) ^
-                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(b))};
-    if (auto it = op_cache_.find(legacy_key); it != op_cache_.end())
-      return it->second;
-  } else if (const BddRef hit =
-                 cache_lookup(static_cast<std::uint32_t>(op), a, b);
-             hit >= 0) {
+  if (const BddRef hit = cache_lookup(static_cast<std::uint32_t>(op), a, b);
+      hit >= 0)
     return hit;
-  }
 
   // Copy the operand nodes: the recursion below appends to the pool and
   // may reallocate it.
@@ -299,10 +255,7 @@ BddRef BddManager::apply(Op op, BddRef a, BddRef b) {
   const BddRef lo = apply(op, a_lo, b_lo);
   const BddRef hi = apply(op, a_hi, b_hi);
   const BddRef result = make_node(v, lo, hi);
-  if (legacy)
-    op_cache_.emplace(legacy_key, result);
-  else
-    cache_store(static_cast<std::uint32_t>(op), a, b, result);
+  cache_store(static_cast<std::uint32_t>(op), a, b, result);
   return result;
 }
 
@@ -332,26 +285,11 @@ BddRef BddManager::apply_not(BddRef a) {
 BddRef BddManager::apply_not_rec(BddRef a) {
   if (a == kBddFalse) return kBddTrue;
   if (a == kBddTrue) return kBddFalse;
-  const bool legacy = engine_ == Engine::kLegacy;
-  CacheKey legacy_key{0};
-  if (legacy) {
-    // Legacy-engine key, preserved verbatim (see pack_unique).
-    // veridp-lint: allow(xor-hash-key)
-    legacy_key = CacheKey{
-        (static_cast<std::uint64_t>(static_cast<int>(Op::Not)) << 60) ^
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))};
-    if (auto it = op_cache_.find(legacy_key); it != op_cache_.end())
-      return it->second;
-  } else if (const BddRef hit = cache_lookup(kOpNot, a, 0); hit >= 0) {
-    return hit;
-  }
+  if (const BddRef hit = cache_lookup(kOpNot, a, 0); hit >= 0) return hit;
   const Node na = nodes_[static_cast<std::size_t>(a)];
   const BddRef result =
       make_node(na.var, apply_not_rec(na.low), apply_not_rec(na.high));
-  if (legacy)
-    op_cache_.emplace(legacy_key, result);
-  else
-    cache_store(kOpNot, a, 0, result);
+  cache_store(kOpNot, a, 0, result);
   return result;
 }
 
@@ -542,27 +480,12 @@ BddRef BddManager::exists(BddRef a, int first_var, int count) {
 BddRef BddManager::exists_rec(BddRef a, int first_var, int count) {
   if (a <= kBddTrue || count <= 0) return a;
   const int last = first_var + count - 1;
-  const bool legacy = engine_ == Engine::kLegacy;
-  CacheKey legacy_key{0};
-  // Pooled: EXISTS carries its own op tag and packs (first_var, count)
-  // into the b operand — exact compare, no aliasing with binary keys.
+  // EXISTS carries its own op tag and packs (first_var, count) into the
+  // b operand — exact compare, no aliasing with binary keys.
   const BddRef range_enc =
       static_cast<BddRef>((first_var << 16) | (count & 0xFFFF));
-  if (legacy) {
-    // Legacy-engine key, preserved verbatim (see pack_unique).
-    // veridp-lint: allow(xor-hash-key)
-    legacy_key =
-        CacheKey{(std::uint64_t{0xEull} << 60) ^
-                 (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a))
-                  << 30) ^
-                 (static_cast<std::uint64_t>(first_var) << 15) ^
-                 static_cast<std::uint64_t>(count)};
-    if (auto it = op_cache_.find(legacy_key); it != op_cache_.end())
-      return it->second;
-  } else if (const BddRef hit = cache_lookup(kOpExists, a, range_enc);
-             hit >= 0) {
+  if (const BddRef hit = cache_lookup(kOpExists, a, range_enc); hit >= 0)
     return hit;
-  }
 
   const Node n = nodes_[static_cast<std::size_t>(a)];
   BddRef result;
@@ -576,10 +499,7 @@ BddRef BddManager::exists_rec(BddRef a, int first_var, int count) {
     result = make_node(n.var, exists_rec(n.low, first_var, count),
                        exists_rec(n.high, first_var, count));
   }
-  if (legacy)
-    op_cache_.emplace(legacy_key, result);
-  else
-    cache_store(kOpExists, a, range_enc, result);
+  cache_store(kOpExists, a, range_enc, result);
   return result;
 }
 

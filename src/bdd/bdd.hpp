@@ -13,30 +13,19 @@
 //
 // Memory layout (DESIGN.md §7): nodes live in one flat pool (a contiguous
 // vector of 12-byte {var, low, high} records, append-only, never moved
-// logically — growth reallocates but indices are stable). Two engines
-// share that pool:
-//
-//   * Engine::kPooled (default) — an open-addressing unique table
-//     (linear probe, power-of-two capacity, tombstone-free because nodes
-//     are never deleted) keyed on the FULL (var, low, high) triple; slot
-//     values are node indices and probes compare against the pool, so
-//     distinct triples can never merge regardless of hash behaviour.
-//     The operation cache is a bounded, direct-mapped, lossy array
-//     (CUDD/BuDDy style): each slot stores the exact (op, a, b) key and
-//     its result, a colliding insert simply overwrites. Losing an entry
-//     costs only recomputation — apply() results are canonical, so a
-//     stale-free exact-compare hit is always correct. Unary (NOT) and
-//     quantifier (EXISTS) operations carry their own op tags and operand
-//     encodings, so they can never alias a binary entry.
-//   * Engine::kLegacy — the pre-optimization tables
-//     (std::unordered_map keyed on XOR-packed 64-bit keys), preserved
-//     verbatim so benchmarks can measure old-vs-new on identical
-//     workloads. The packing silently collides once node indices cross
-//     2^24 (unique table) / 2^30 (op cache); kPooled eliminates that
-//     class outright, and `tests/test_bdd.cc` pins the property through
-//     the raw-intern test hook. Both engines create nodes in the same
-//     order for the same call sequence, so refs are interchangeable —
-//     the differential suite asserts ref-exact equality between them.
+// logically — growth reallocates but indices are stable). The unique
+// table is open-addressing (linear probe, power-of-two capacity,
+// tombstone-free because nodes are never deleted) keyed on the FULL
+// (var, low, high) triple; slot values are node indices and probes
+// compare against the pool, so distinct triples can never merge
+// regardless of hash behaviour (`tests/test_bdd.cc` pins this through
+// the raw-intern test hook). The operation cache is a bounded,
+// direct-mapped, lossy array (CUDD/BuDDy style): each slot stores the
+// exact (op, a, b) key and its result, a colliding insert simply
+// overwrites. Losing an entry costs only recomputation — apply() results
+// are canonical, so a stale-free exact-compare hit is always correct.
+// Unary (NOT) and quantifier (EXISTS) operations carry their own op tags
+// and operand encodings, so they can never alias a binary entry.
 //
 // Nodes are never garbage collected: managers live as long as the path
 // table that uses them, and the workloads in this repository peak at a few
@@ -100,22 +89,16 @@ using BddRef = std::int32_t;
 inline constexpr BddRef kBddFalse = 0;
 inline constexpr BddRef kBddTrue = 1;
 
-/// Table implementation selector (see the BddManager header comment).
-/// kLegacy is retained only so benchmarks and oracle tests can run
-/// old-vs-new in one process; production code always uses the default.
-enum class Engine : std::uint8_t { kPooled, kLegacy };
-
 /// Shared-nothing BDD node store and operation cache.
 class BddManager {
  public:
   /// Creates a manager over `num_vars` Boolean variables.
-  explicit BddManager(int num_vars, Engine engine = Engine::kPooled);
+  explicit BddManager(int num_vars);
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
 
   int num_vars() const { return num_vars_; }
-  Engine engine() const { return engine_; }
 
   /// Pre-sizes the node pool and unique table for ~`nodes` nodes (and
   /// widens the op cache accordingly), avoiding incremental rehashes on
@@ -276,7 +259,7 @@ class BddManager {
   std::string dump(BddRef a) const;
 
   // -- Diagnostics / test hooks ---------------------------------------------
-  /// Current unique-table slot count (pooled engine; 0 for legacy).
+  /// Current unique-table slot count.
   std::size_t unique_capacity() const { return slots_.size(); }
 
   /// TEST-ONLY: interns a raw (var, low, high) triple without validating
@@ -287,7 +270,7 @@ class BddManager {
   /// distinct triple -> distinct ref).
   BddRef intern_raw_for_test(std::int32_t var, BddRef low, BddRef high);
 
-  /// TEST-ONLY (pooled engine): truncates every unique-table hash to its
+  /// TEST-ONLY: truncates every unique-table hash to its
   /// low `keep_bits` bits and rehashes, forcing pathological clustering.
   /// Correctness must be hash-independent (probes compare full triples);
   /// the differential suite runs under keep_bits <= 4 to prove it.
@@ -302,7 +285,7 @@ class BddManager {
 
   enum class Op : std::uint8_t { And, Or, Xor, Diff, Not };
 
-  // -- Pooled op cache ------------------------------------------------------
+  // -- Op cache -------------------------------------------------------------
   // Direct-mapped, bounded, lossy. `op` doubles as the occupancy flag
   // (kOpEmpty = vacant). Binary ops store both operands; NOT stores
   // (a, 0); EXISTS stores (a, first_var << 16 | count) under its own tag
@@ -315,21 +298,6 @@ class BddManager {
     BddRef a = 0;
     BddRef b = 0;
     BddRef result = 0;
-  };
-
-  // -- Legacy (pre-optimization) tables -------------------------------------
-  struct CacheKey {
-    std::uint64_t k;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
-  };
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& c) const noexcept {
-      std::uint64_t a = c.k;
-      a ^= a >> 33;
-      a *= 0xff51afd7ed558ccdULL;
-      a ^= a >> 33;
-      return static_cast<std::size_t>(a);
-    }
   };
 
   BddRef make_node(std::int32_t var, BddRef low, BddRef high);
@@ -378,11 +346,10 @@ class BddManager {
   void grow_unique(std::size_t min_slots);
   void maybe_grow_caches();
 
-  Engine engine_;
   int num_vars_;
   std::vector<Node> nodes_;
 
-  // Pooled unique table: open addressing, linear probe, power-of-two,
+  // Unique table: open addressing, linear probe, power-of-two,
   // tombstone-free. Slot value is a node index; 0 (the FALSE terminal,
   // never interned) marks an empty slot.
   std::vector<BddRef> slots_;
@@ -390,14 +357,9 @@ class BddManager {
   std::size_t interned_ = 0;
   int hash_keep_bits_ = 64;  // degraded by degrade_hash_for_test
 
-  // Pooled op cache: direct-mapped, power-of-two, bounded.
+  // Op cache: direct-mapped, power-of-two, bounded.
   std::vector<ApplyEntry> op_slots_;
   std::size_t op_mask_ = 0;
-
-  // Legacy unique table: XOR-packed (var, low, high) -> node index.
-  std::unordered_map<std::uint64_t, BddRef> unique_;
-  // Legacy operation cache: XOR-packed (op, a, b) -> result.
-  std::unordered_map<CacheKey, BddRef, CacheKeyHash> op_cache_;
 
   // sat_count memo, invalidated never (nodes are immutable). Mutated
   // under count_mu_ from the logically-const sat_count; warm lookups

@@ -1,9 +1,7 @@
 #include "bloom/bloom.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstddef>
 
 #include "common/murmur3.hpp"
 
@@ -38,43 +36,9 @@ BloomTag BloomTag::of_hop(const Hop& h, int bits) {
   return t;
 }
 
-// Hop's object representation IS the x||s||y wire the scalar hop_mask
-// serializes: three uint32 members in that order, no padding — so the
-// batch kernel can hash the Hop array in place.
-static_assert(sizeof(Hop) == 12);
-static_assert(offsetof(Hop, in) == 0 && offsetof(Hop, sw) == 4 &&
-              offsetof(Hop, out) == 8);
-
-void BloomTag::hop_masks(const Hop* hops, std::size_t n, int bits,
-                         std::uint64_t* out) {
-  assert(bits >= 1 && bits <= 64);
-  const auto ubits = static_cast<std::uint32_t>(bits);
-  constexpr std::size_t kChunk = 256;
-  std::uint32_t hashes[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    murmur3_32_batch12(reinterpret_cast<const std::byte*>(hops + base),
-                       sizeof(Hop), m, hashes);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint32_t h1 = hashes[i] & 0xffff;
-      const std::uint32_t h2 = hashes[i] >> 16;
-      std::uint64_t mask = 0;
-      for (std::uint32_t g = 0; g < kNumHashes; ++g)
-        mask |= std::uint64_t{1} << ((h1 + g * h2) % ubits);
-      out[base + i] = mask;
-    }
-  }
-}
-
 BloomTag BloomTag::of_path(const Hop* hops, std::size_t n, int bits) {
   BloomTag t(bits);
-  constexpr std::size_t kChunk = 256;
-  std::uint64_t masks[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = std::min(kChunk, n - base);
-    hop_masks(hops + base, m, bits, masks);
-    for (std::size_t i = 0; i < m; ++i) t.value_ |= masks[i];
-  }
+  for (std::size_t i = 0; i < n; ++i) t.insert(hops[i]);
   return t;
 }
 
@@ -106,18 +70,6 @@ BloomTag& BloomTag::operator|=(const BloomTag& o) {
 }
 
 int BloomTag::popcount() const { return std::popcount(value_); }
-
-void bloom_contains_masks(std::uint64_t tag, const std::uint64_t* masks,
-                          std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<std::uint8_t>((tag & masks[i]) == masks[i]);
-}
-
-void bloom_tags_contain(const std::uint64_t* tags, std::size_t n,
-                        std::uint64_t mask, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<std::uint8_t>((tags[i] & mask) == mask);
-}
 
 std::string BloomTag::str() const {
   std::string s(static_cast<std::size_t>(bits_), '0');

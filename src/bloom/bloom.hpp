@@ -33,15 +33,8 @@ class BloomTag {
   /// BF(x||s||y): a tag containing exactly the one hop element.
   static BloomTag of_hop(const Hop& h, int bits = kDefaultBits);
 
-  /// Batch kernel: out[i] = BF(hops[i]) as a raw bit mask, bit-identical
-  /// to of_hop(hops[i], bits).value(). One murmur3_32_batch12 sweep plus
-  /// a branch-free Kirsch–Mitzenmacher derivation loop — the per-hop
-  /// hash setup cost is paid once per column, not once per call.
-  static void hop_masks(const Hop* hops, std::size_t n, int bits,
-                        std::uint64_t* out);
-
   /// Tag of a whole hop sequence: BF(h0) | BF(h1) | ... — what Algorithm
-  /// 1 accumulates along a path, built in one batched sweep.
+  /// 1 accumulates along a path.
   static BloomTag of_path(const Hop* hops, std::size_t n,
                           int bits = kDefaultBits);
 
@@ -81,18 +74,5 @@ class BloomTag {
   std::uint64_t value_ = 0;
   int bits_ = kDefaultBits;
 };
-
-/// Membership column kernel over a mask column: out[i] = 1 iff
-/// (tag & masks[i]) == masks[i] — Algorithm 4's per-hop test with the
-/// report tag held fixed (the localizer walks many candidate hops
-/// against one tag). Branch-free, auto-vectorizable.
-void bloom_contains_masks(std::uint64_t tag, const std::uint64_t* masks,
-                          std::size_t n, std::uint8_t* out);
-
-/// Membership column kernel over a tag column: out[i] = 1 iff
-/// (tags[i] & mask) == mask — one hop's filter tested against a batch
-/// of report tags (the SoA pipeline's tag column).
-void bloom_tags_contain(const std::uint64_t* tags, std::size_t n,
-                        std::uint64_t mask, std::uint8_t* out);
 
 }  // namespace veridp

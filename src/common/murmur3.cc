@@ -51,32 +51,4 @@ std::uint32_t murmur3_32(std::span<const std::byte> data, std::uint32_t seed) {
   return h1;
 }
 
-void murmur3_32_batch12(const std::byte* data, std::size_t stride,
-                        std::size_t n, std::uint32_t* out,
-                        std::uint32_t seed) {
-  constexpr std::uint32_t c1 = 0xcc9e2d51;
-  constexpr std::uint32_t c2 = 0x1b873593;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t k[3];
-    std::memcpy(k, data + i * stride, 12);
-    std::uint32_t h1 = seed;
-    for (int j = 0; j < 3; ++j) {  // fully unrollable: fixed trip count
-      std::uint32_t k1 = k[j];
-      k1 *= c1;
-      k1 = std::rotl(k1, 15);
-      k1 *= c2;
-      h1 ^= k1;
-      h1 = std::rotl(h1, 13);
-      h1 = h1 * 5 + 0xe6546b64;
-    }
-    h1 ^= 12u;
-    h1 ^= h1 >> 16;
-    h1 *= 0x85ebca6b;
-    h1 ^= h1 >> 13;
-    h1 *= 0xc2b2ae35;
-    h1 ^= h1 >> 16;
-    out[i] = h1;
-  }
-}
-
 }  // namespace veridp

@@ -26,14 +26,4 @@ std::uint32_t murmur3_32(const T& value, std::uint32_t seed = 0) {
       seed);
 }
 
-/// Batch Murmur3 over `n` fixed-size 12-byte records spaced `stride`
-/// bytes apart — the hop wire format the Bloom tags hash (§5). The
-/// fixed three-block length drops the tail/length branches of the
-/// generic routine and lets the compiler keep several independent hash
-/// chains in flight. out[i] is bit-identical to murmur3_32 over the
-/// same 12 bytes.
-void murmur3_32_batch12(const std::byte* data, std::size_t stride,
-                        std::size_t n, std::uint32_t* out,
-                        std::uint32_t seed = 0);
-
 }  // namespace veridp

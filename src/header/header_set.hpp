@@ -38,10 +38,7 @@ class HeaderSet;
 /// Factory + arena for HeaderSets. One per network/path-table instance.
 class HeaderSpace {
  public:
-  /// `engine` selects the BddManager internals (kPooled by default;
-  /// kLegacy keeps the pre-rewrite tables for old-vs-new benchmarks).
-  explicit HeaderSpace(Engine engine = Engine::kPooled)
-      : mgr_(std::make_shared<BddManager>(kHeaderBits, engine)) {}
+  HeaderSpace() : mgr_(std::make_shared<BddManager>(kHeaderBits)) {}
 
   /// The universal set (all headers).
   HeaderSet all() const;

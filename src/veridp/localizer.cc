@@ -1,34 +1,10 @@
 #include "veridp/localizer.hpp"
 
-#include <algorithm>
-#include <cstdint>
-
 #include "bloom/bloom.hpp"
 
 namespace veridp {
 
 namespace {
-
-// Scratch for the batched form of Algorithm 4's Bloom set test
-// BF(hop) ⊓ tag == BF(hop): one murmur3_32_batch12 sweep computes the
-// masks for a whole hop column (a logical walk, or one switch's output
-// fan), then bloom_contains_masks tests them against the report tag.
-struct HopTester {
-  std::uint64_t tag;
-  int bits;
-  std::vector<std::uint64_t> masks;
-  std::vector<std::uint8_t> member;
-
-  void test(const Hop* hops, std::size_t n) {
-    masks.resize(n);
-    member.resize(n);
-    BloomTag::hop_masks(hops, n, bits, masks.data());
-    bloom_contains_masks(tag, masks.data(), n, member.data());
-  }
-  void test(const std::vector<Hop>& hops) { test(hops.data(), hops.size()); }
-
-  [[nodiscard]] bool passes(std::size_t i) const { return member[i] != 0; }
-};
 
 void add_candidate(LocalizeResult& result, std::vector<Hop> path,
                    SwitchId blamed) {
@@ -41,26 +17,19 @@ void add_candidate(LocalizeResult& result, std::vector<Hop> path,
 
 LocalizeResult Localizer::infer(const TagReport& report) const {
   LocalizeResult result;
-  HopTester tester{report.tag.value(), report.tag.bits(), {}, {}};
 
   // Phase 1: the correct path's prefix that the tag agrees with. Per the
   // pseudocode, the first *failing* hop is pushed too and popped first.
-  const std::vector<Hop> correct =
-      logical_walk(*topo_, *configs_, report.inport, report.header);
-  tester.test(correct);
   std::vector<Hop> com_path;
-  for (std::size_t i = 0; i < correct.size(); ++i) {
-    com_path.push_back(correct[i]);
-    if (!tester.passes(i)) break;
+  for (const Hop& hop :
+       logical_walk(*topo_, *configs_, report.inport, report.header)) {
+    com_path.push_back(hop);
+    if (!report.tag.may_contain(hop)) break;
   }
 
   // Phase 2: backtrack, trying alternative output ports at each popped
   // hop's switch and following (assumed healthy) downstream control
   // plane until the reported outport is reached.
-  std::vector<Hop> fan;
-  // Downstream walks get their own scratch so `tester` keeps holding
-  // the fan's columns for the remaining port iterations.
-  HopTester down{tester.tag, tester.bits, {}, {}};
   while (!com_path.empty()) {
     const Hop dev_hop = com_path.back();
     com_path.pop_back();
@@ -68,17 +37,11 @@ LocalizeResult Localizer::infer(const TagReport& report) const {
     const PortId x = dev_hop.in;
     const PortId n = topo_->num_ports(s);
 
-    // All of this switch's candidate output hops (data ports then ⊥)
-    // tested against the tag in one batch.
-    fan.clear();
-    for (PortId yi = 1; yi <= n + 1; ++yi)
-      fan.push_back(Hop{x, s, (yi == n + 1) ? kDropPort : yi});
-    tester.test(fan);
-
+    // Candidate output hops: data ports, then ⊥.
     for (PortId yi = 1; yi <= n + 1; ++yi) {
-      if (!tester.passes(yi - 1)) continue;
       const PortId y = (yi == n + 1) ? kDropPort : yi;
       const Hop first{x, s, y};
+      if (!report.tag.may_contain(first)) continue;
 
       std::vector<Hop> dev_path{first};
       const PortKey out{s, y};
@@ -97,10 +60,8 @@ LocalizeResult Localizer::infer(const TagReport& report) const {
       if (!next) continue;
       const std::vector<Hop> downstream =
           logical_walk(*topo_, *configs_, *next, report.header);
-      down.test(downstream);  // one batched test for the whole walk
-      for (std::size_t i = 0; i < downstream.size(); ++i) {
-        const Hop& hop = downstream[i];
-        if (!down.passes(i)) break;  // dismiss this branch
+      for (const Hop& hop : downstream) {
+        if (!report.tag.may_contain(hop)) break;  // dismiss this branch
         dev_path.push_back(hop);
         if (PortKey{hop.sw, hop.out} == report.outport) {
           std::vector<Hop> full = com_path;

@@ -60,7 +60,7 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
   if (cfg_.high_watermark > cfg_.queue_capacity)
     cfg_.high_watermark = cfg_.queue_capacity;
   if (cfg_.shed_modulus == 0) cfg_.shed_modulus = 1;
-  if (cfg_.batch_size == 0) cfg_.batch_size = 1;
+  cfg_.batch_size = resolve_batch_size(cfg_.batch_size);
   if (cfg_.steal_threshold == 0) cfg_.steal_threshold = 1;
   shards_ = cfg_.shards ? cfg_.shards : 1;
   // One lane per worker; the global bounds split evenly so total queued

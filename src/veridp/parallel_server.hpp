@@ -98,7 +98,8 @@ struct ParallelConfig {
   std::uint32_t shed_modulus = 4;    ///< keep seq % modulus == 0 when shedding
   /// Reports per worker dequeue — also the lane count handed to
   /// verify_epoch_aware_batch per snapshot load (one RCU read and one
-  /// batched kernel call per dequeue).
+  /// batched kernel call per dequeue). 0 = autotuned_batch_size(), as
+  /// IngestConfig::batch_size.
   std::size_t batch_size = 32;
   std::size_t shards = 16;           ///< switch-affinity granularity
   std::size_t dedup_window = 4096;   ///< remembered seqs per switch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 
 #include "bloom/bloom.hpp"
 
@@ -56,7 +57,8 @@ std::vector<PortKey> ReachIndex::affected_inports(
 void ReachIndex::erase_inport(PortKey inport) { reach_.erase(inport); }
 
 // Memo of provider predicates shared across one build()/build_from()
-// call. The traversal visits the same (switch, arrival-port) pair from
+// call (never kept across calls: the provider's rules may change in
+// between). The traversal visits the same (switch, arrival-port) pair from
 // many entry ports, and each visit re-derives the identical drop
 // predicate and forwarding atoms — each a fresh chain of BDD ANDs inside
 // the provider. Exact nested-map keying (no packed-key collisions);
@@ -92,13 +94,13 @@ struct PathTableBuilder::TransferMemo {
 // recursion on long paths, but path lengths are bounded by the loop
 // cut-off so plain recursion via a helper lambda is fine and clearer.
 void PathTableBuilder::traverse(PathTable& table, PortKey inport,
-                                ReachIndex* reach, TransferMemo* memo) const {
+                                ReachIndex* reach, TransferMemo& memo) const {
   struct Walker {
     const PathTableBuilder& b;
     PathTable& table;
     PortKey inport;
     ReachIndex* reach;
-    TransferMemo* memo;
+    TransferMemo& memo;
     std::vector<Hop> path;
     std::vector<PortKey> visited;  // arrival ports on the current path
 
@@ -109,26 +111,13 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
 
       const PortId n = b.topo_->num_ports(s);
 
-      // BF masks for every hop this switch can emit from x — data ports
-      // 1..n then ⊥ — in one batched Murmur3 sweep, instead of one hash
-      // per (atom, port) tag insert below (atoms sharing an output port
-      // would each re-hash the same hop).
-      std::vector<Hop> fan;
-      fan.reserve(n + 1);
-      for (PortId out = 1; out <= n; ++out) fan.push_back(Hop{x, s, out});
-      fan.push_back(Hop{x, s, kDropPort});
-      std::vector<std::uint64_t> fan_masks(fan.size());
-      BloomTag::hop_masks(fan.data(), fan.size(), tag.bits(),
-                          fan_masks.data());
-
       // Drop branch (no rewrites can matter for ⊥).
       {
-        HeaderSet hd = h & (memo ? memo->drop_at(s, x)
-                                 : b.transfer_->transfer(s, x, kDropPort));
+        HeaderSet hd = h & memo.drop_at(s, x);
         if (!hd.empty()) {
           const Hop hop{x, s, kDropPort};
-          const BloomTag tag2 =
-              BloomTag::from_raw(tag.value() | fan_masks[n], tag.bits());
+          BloomTag tag2 = tag;
+          tag2.insert(hop);
           path.push_back(hop);
           table.add_path(inport, PortKey{s, kDropPort}, hd, path, tag2);
           path.pop_back();
@@ -136,23 +125,24 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
       }
 
       for (PortId out = 1; out <= n; ++out) {
-        std::vector<FwdAtom> fresh;
-        if (!memo) fresh = b.transfer_->atoms(s, x, out);
-        const std::vector<FwdAtom>& atoms =
-            memo ? memo->atoms_at(s, x, out) : fresh;
-        for (const FwdAtom& atom : atoms) {
+        const Hop hop{x, s, out};
+        // tag | BF(x||s||out): hashed once per port, and only if an atom
+        // takes the port.
+        std::optional<BloomTag> tag2;
+        for (const FwdAtom& atom : memo.atoms_at(s, x, out)) {
           HeaderSet h2 = h & atom.headers;
           if (h2.empty()) continue;
           // Header-rewrite extension (§8): continue with the image.
           if (!atom.rewrite.empty()) h2 = atom.rewrite.apply_to_set(h2);
 
-          const Hop hop{x, s, out};
-          const BloomTag tag2 = BloomTag::from_raw(
-              tag.value() | fan_masks[out - 1], tag.bits());
+          if (!tag2) {
+            tag2 = tag;
+            tag2->insert(hop);
+          }
           path.push_back(hop);
 
           if (b.topo_->is_edge_port(PortKey{s, out})) {
-            table.add_path(inport, PortKey{s, out}, h2, path, tag2);
+            table.add_path(inport, PortKey{s, out}, h2, path, *tag2);
           } else {
             const auto next = b.topo_->peer(PortKey{s, out});
             assert(next.has_value());
@@ -161,7 +151,7 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
             if (std::find(visited.begin(), visited.end(), *next) ==
                 visited.end()) {
               visited.push_back(*next);
-              step(*next, h2, tag2);
+              step(*next, h2, *tag2);
               visited.pop_back();
             }
           }
@@ -179,14 +169,14 @@ PathTable PathTableBuilder::build(ReachIndex* reach) const {
   PathTable table;
   TransferMemo memo(transfer_);
   for (const PortKey& inport : topo_->edge_ports())
-    traverse(table, inport, reach, reuse_ ? &memo : nullptr);
+    traverse(table, inport, reach, memo);
   return table;
 }
 
 void PathTableBuilder::build_from(PathTable& table, PortKey inport,
                                   ReachIndex* reach) const {
   TransferMemo memo(transfer_);
-  traverse(table, inport, reach, reuse_ ? &memo : nullptr);
+  traverse(table, inport, reach, memo);
 }
 
 }  // namespace veridp

@@ -99,24 +99,15 @@ class PathTableBuilder {
   void build_from(PathTable& table, PortKey inport,
                   ReachIndex* reach = nullptr) const;
 
-  /// Reuse of provider predicates within one build (default on): the drop
-  /// predicate and forwarding atoms of each (switch, inport, outport) are
-  /// fetched from the provider once per build()/build_from() call and
-  /// shared across all entry ports, instead of re-deriving the same BDD
-  /// ANDs at every traversal visit. Never cached across calls — the
-  /// provider's rules may change in between.
-  void set_transfer_reuse(bool on) { reuse_ = on; }
-
  private:
   struct TransferMemo;  // see .cc
   void traverse(PathTable& table, PortKey inport, ReachIndex* reach,
-                TransferMemo* memo) const;
+                TransferMemo& memo) const;
 
   const HeaderSpace* space_;
   const Topology* topo_;
   const TransferProvider* transfer_;
   int tag_bits_;
-  bool reuse_ = true;
 };
 
 }  // namespace veridp

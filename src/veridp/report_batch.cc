@@ -1,7 +1,5 @@
 #include "veridp/report_batch.hpp"
 
-#include "dataplane/wire.hpp"
-
 namespace veridp {
 
 std::size_t autotuned_batch_size() { return 256; }
@@ -37,13 +35,6 @@ void ReportBatch::push(const TagReport& r) {
   tag_width.push_back(static_cast<std::uint8_t>(r.tag.bits()));
   epoch.push_back(r.epoch);
   seq.push_back(r.seq);
-}
-
-bool ReportBatch::push_wire(const std::vector<std::uint8_t>& datagram) {
-  std::optional<TagReport> r = wire::decode_report(datagram);
-  if (!r) return false;
-  push(*r);
-  return true;
 }
 
 TagReport ReportBatch::report(std::size_t i) const {

@@ -70,10 +70,6 @@ struct ReportBatch {
   /// Appends one decoded report as a new lane.
   void push(const TagReport& r);
 
-  /// Decodes one wire datagram into a new lane; false — and no lane —
-  /// on a malformed payload (same acceptance as wire::decode_report).
-  bool push_wire(const std::vector<std::uint8_t>& datagram);
-
   /// Reassembles lane i as a TagReport (scalar-fallback edges, verdict
   /// sinks, failure retention — the cold per-lane paths).
   [[nodiscard]] TagReport report(std::size_t i) const;

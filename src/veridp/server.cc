@@ -51,7 +51,6 @@ void Server::rebuild() {
   if (mode_ == Mode::kIncremental) {
     updater_ = std::make_unique<IncrementalUpdater>(space_, topo, tag_bits_);
     updater_->initialize(controller_->logical_configs());
-    verifier_ = std::make_unique<Verifier>(updater_->table());
   } else {
     // Retire the superseded table into the snapshot ring: reports sampled
     // under epochs [table_valid_from_, dirty_from_ - 1] are still in
@@ -70,7 +69,6 @@ void Server::rebuild() {
                                     controller_->logical_configs());
     PathTableBuilder builder(space_, topo, provider, tag_bits_);
     full_table_ = builder.build();
-    verifier_ = std::make_unique<Verifier>(full_table_);
   }
   table_valid_from_ = epoch_;
   dirty_ = false;

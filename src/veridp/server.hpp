@@ -148,7 +148,6 @@ class Server {
   HeaderSpace space_;
   PathTable full_table_;  // kFullRebuild mode storage
   std::unique_ptr<IncrementalUpdater> updater_;
-  std::unique_ptr<Verifier> verifier_;
   bool synced_ = false;
   bool dirty_ = false;
 

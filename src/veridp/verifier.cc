@@ -1,6 +1,5 @@
 #include "veridp/verifier.hpp"
 
-
 #include "bdd/bdd.hpp"
 #include "veridp/report_batch.hpp"
 
@@ -8,7 +7,7 @@ namespace veridp {
 
 // veridp-lint: hot-path
 
-Verdict Verifier::check(const TagReport& report, const PathTable& table) {
+Verdict verify_report(const TagReport& report, const PathTable& table) {
   const PathTable::EntryList* paths =
       table.lookup(report.inport, report.outport);
   if (paths) {
@@ -41,13 +40,13 @@ const PathTable* EpochTables::for_epoch(std::uint32_t e) const {
 
 Verdict verify_epoch_aware(const TagReport& report, const EpochTables& t) {
   if (!t.epoch_checking) {
-    Verdict v = Verifier::check(report, *t.current);
+    Verdict v = verify_report(report, *t.current);
     v.epoch = t.table_valid_from;
     return v;
   }
 
   if (const PathTable* tbl = t.for_epoch(report.epoch))
-    return Verifier::check(report, *tbl);
+    return verify_report(report, *tbl);
 
   // Ahead-of-table: the report was stamped under an epoch newer than
   // anything the current table definitively covers (the publisher lags
@@ -57,7 +56,7 @@ Verdict verify_epoch_aware(const TagReport& report, const EpochTables& t) {
   // reflect the config delta the table has not absorbed yet, so it is
   // inconclusive — never a data-plane failure.
   if (report.epoch > t.table_valid_to) {
-    const Verdict v = Verifier::check(report, *t.current);
+    const Verdict v = verify_report(report, *t.current);
     if (v.ok()) return v;
     return Verdict{VerifyStatus::kStaleEpoch, nullptr, report.epoch};
   }
@@ -69,7 +68,7 @@ Verdict verify_epoch_aware(const TagReport& report, const EpochTables& t) {
   // is not (the path may have been correct under the sampling-time
   // config), so it is classified stale, never failed.
   if (t.epoch - report.epoch <= t.grace_window) {
-    Verdict v = Verifier::check(report, *t.current);
+    Verdict v = verify_report(report, *t.current);
     if (v.ok()) return v;
   }
   return Verdict{VerifyStatus::kStaleEpoch, nullptr, report.epoch};
@@ -403,13 +402,6 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
                             out[k]};
     }
   }
-}
-
-Verdict Verifier::verify(const TagReport& report) {
-  ++total_;
-  const Verdict v = check(report, *table_);
-  if (v.ok()) ++passed_;
-  return v;
 }
 
 }  // namespace veridp

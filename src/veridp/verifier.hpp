@@ -10,7 +10,7 @@
 // are no false positives. False negatives require both (1) arrival at the
 // correct destination port and (2) a Bloom-filter tag collision.
 //
-// Thread-safety: verification is a pure read — `Verifier::check` and
+// Thread-safety: verification is a pure read — `verify_report` and
 // `verify_epoch_aware` touch only const PathTable lookups, BDD
 // membership evaluation and tag comparison, all race-free on immutable
 // tables (see the contracts in path_table.hpp / header_set.hpp /
@@ -59,6 +59,10 @@ struct Verdict {
   }
 };
 
+/// Algorithm 3 on one report against one table. Pure read.
+[[nodiscard]] Verdict verify_report(const TagReport& report,
+                                    const PathTable& table);
+
 /// A non-owning view of "which path table verifies which config epoch":
 /// the current table, the ring of retired tables (newest first) and the
 /// grace window. Both the sequential Server and the ParallelServer's
@@ -102,7 +106,7 @@ struct EpochTables {
 /// get the symmetric treatment: a pass against the current table is
 /// conclusive, a mismatch is kStaleEpoch — so a wedged publisher can
 /// degrade verification to "inconclusive", never to a false positive.
-/// With epoch_checking off it degenerates to plain `Verifier::check`
+/// With epoch_checking off it degenerates to plain `verify_report`
 /// against the current table. Pure read; safe to call concurrently from
 /// any number of threads over the same EpochTables.
 [[nodiscard]] Verdict verify_epoch_aware(const TagReport& report,
@@ -198,30 +202,5 @@ class VerifyMemo {
 void verify_epoch_aware_batch(const ReportBatch& batch, std::size_t first,
                               std::size_t count, const EpochTables& tables,
                               VerifyMemo* memo, Verdict* out);
-
-class Verifier {
- public:
-  explicit Verifier(const PathTable& table) : table_(&table) {}
-
-  /// Runs Algorithm 3 on one report against the bound table, updating
-  /// the running counters.
-  Verdict verify(const TagReport& report);
-
-  /// Counter-free Algorithm 3 against an arbitrary table (the server's
-  /// epoch-aware path uses this to verify against ring snapshots).
-  [[nodiscard]] static Verdict check(const TagReport& report,
-                                     const PathTable& table);
-
-  // Running counters (reset with reset_stats).
-  [[nodiscard]] std::uint64_t verified() const { return total_; }
-  [[nodiscard]] std::uint64_t passed() const { return passed_; }
-  [[nodiscard]] std::uint64_t failed() const { return total_ - passed_; }
-  void reset_stats() { total_ = passed_ = 0; }
-
- private:
-  const PathTable* table_;
-  std::uint64_t total_ = 0;
-  std::uint64_t passed_ = 0;
-};
 
 }  // namespace veridp

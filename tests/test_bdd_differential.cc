@@ -1,10 +1,7 @@
 // Randomized differential suite for the BDD engine: thousands of seeded
 // op sequences (and/or/xor/diff/not/ite/exists/cube) are replayed
-// simultaneously against
-//   (1) a brute-force truth-table oracle over <= 12 variables,
-//   (2) the pooled engine,
-//   (3) the pooled engine with a pathologically degraded hash, and
-//   (4) the legacy engine (ref-for-ref equality with the pooled one).
+// against a brute-force truth-table oracle over <= 12 variables, on the
+// engine as built and on the engine with a pathologically degraded hash.
 // Every produced ref is expanded to its full truth table (memoized
 // Shannon expansion — O(nodes), not O(2^n) evals) and compared bit-wise;
 // canonicity is asserted as a bijection between truth tables and refs.
@@ -191,9 +188,9 @@ TT oracle_step(const std::vector<TT>& pool, const Step& s, int nvars) {
 }
 
 // The workhorse: runs `sequences` seeded sequences of `steps` ops each,
-// against the oracle and (optionally) a second engine in lockstep.
+// against the oracle.
 void run_differential(std::uint64_t seed_base, int sequences, int steps,
-                      bool degrade_hash, bool lockstep_legacy) {
+                      bool degrade_hash) {
   for (int seq = 0; seq < sequences; ++seq) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(seq);
     Rng rng(seed);
@@ -201,11 +198,9 @@ void run_differential(std::uint64_t seed_base, int sequences, int steps,
     BddManager m(nvars);
     if (degrade_hash)
       m.degrade_hash_for_test(1 + static_cast<int>(rng.index(4)));
-    BddManager legacy(nvars, Engine::kLegacy);
     Expander ex{m, nvars, {}};
 
     std::vector<BddRef> pool{kBddFalse, kBddTrue};
-    std::vector<BddRef> pool_l = pool;
     std::vector<TT> tts{TT::falsum(nvars), TT::verum(nvars)};
     // Canonicity: truth table <-> ref must stay a bijection.
     std::map<std::array<std::uint64_t, 64>, BddRef> canon;
@@ -213,7 +208,6 @@ void run_differential(std::uint64_t seed_base, int sequences, int steps,
     canon.emplace(tts[1].w, kBddTrue);
     for (int v = 0; v < nvars; ++v) {
       pool.push_back(m.var(v));
-      if (lockstep_legacy) pool_l.push_back(legacy.var(v));
       tts.push_back(TT::literal(nvars, v, true));
       canon.emplace(tts.back().w, pool.back());
     }
@@ -231,33 +225,22 @@ void run_differential(std::uint64_t seed_base, int sequences, int steps,
       ASSERT_EQ(it->second, r)
           << "canonicity violated at seed " << seed << " step " << st;
 
-      if (lockstep_legacy) {
-        const BddRef rl = run_step(legacy, pool_l, s);
-        ASSERT_EQ(rl, r) << "engine divergence at seed " << seed << " step "
-                         << st;
-        pool_l.push_back(rl);
-      }
       pool.push_back(r);
       tts.push_back(expect);
     }
   }
 }
 
-// 5000+ sequences split across shards so a failure pins a narrow seed
-// range. 4000 plain + 800 degraded-hash + 400 legacy-lockstep = 5200.
+// Sequences split across shards so a failure pins a narrow seed range:
+// 4000 plain + 800 degraded-hash = 4800.
 TEST(BddDifferential, PooledMatchesTruthTableOracle) {
   run_differential(/*seed_base=*/1000, /*sequences=*/4000, /*steps=*/14,
-                   /*degrade_hash=*/false, /*lockstep_legacy=*/false);
+                   /*degrade_hash=*/false);
 }
 
 TEST(BddDifferential, DegradedHashMatchesTruthTableOracle) {
   run_differential(/*seed_base=*/900000, /*sequences=*/800, /*steps=*/14,
-                   /*degrade_hash=*/true, /*lockstep_legacy=*/false);
-}
-
-TEST(BddDifferential, LegacyLockstepRefEquality) {
-  run_differential(/*seed_base=*/500000, /*sequences=*/400, /*steps=*/14,
-                   /*degrade_hash=*/false, /*lockstep_legacy=*/true);
+                   /*degrade_hash=*/true);
 }
 
 // ---- Read-side concurrency (TSan target) ------------------------------

@@ -176,60 +176,16 @@ TEST(BloomTag, WiderFiltersHaveFewerFalsePositives) {
   EXPECT_LT(rates.back(), rates.front());
 }
 
-TEST(BloomTag, HopMasksMatchScalarOfHopAtEveryWidth) {
-  Rng rng(99);
-  std::vector<Hop> hops;
-  for (int i = 0; i < 400; ++i) hops.push_back(random_hop(rng));
-  for (const int bits : {8, 16, 31, 32, 64}) {
-    std::vector<std::uint64_t> masks(hops.size());
-    BloomTag::hop_masks(hops.data(), hops.size(), bits, masks.data());
-    for (std::size_t i = 0; i < hops.size(); ++i)
-      EXPECT_EQ(masks[i], BloomTag::of_hop(hops[i], bits).value())
-          << "hop " << i << " width " << bits;
-  }
-}
-
 TEST(BloomTag, OfPathEqualsIncrementalInserts) {
   Rng rng(7);
   std::vector<Hop> hops;
   BloomTag incremental(16);
-  for (int i = 0; i < 300; ++i) {  // crosses the kernel's 256-chunk seam
+  for (int i = 0; i < 300; ++i) {
     hops.push_back(random_hop(rng));
     incremental.insert(hops.back());
   }
   EXPECT_EQ(BloomTag::of_path(hops.data(), hops.size(), 16), incremental);
   EXPECT_EQ(BloomTag::of_path(hops.data(), 0, 16), BloomTag(16));
-}
-
-TEST(BloomTag, MembershipColumnKernelsMatchMayContain) {
-  Rng rng(3);
-  std::vector<Hop> hops;
-  for (int i = 0; i < 64; ++i) hops.push_back(random_hop(rng));
-
-  BloomTag tag(16);
-  for (int i = 0; i < 5; ++i) tag.insert(hops[static_cast<std::size_t>(i)]);
-
-  // One tag against a mask column (the localizer's shape).
-  std::vector<std::uint64_t> masks(hops.size());
-  BloomTag::hop_masks(hops.data(), hops.size(), 16, masks.data());
-  std::vector<std::uint8_t> member(hops.size());
-  bloom_contains_masks(tag.value(), masks.data(), hops.size(), member.data());
-  for (std::size_t i = 0; i < hops.size(); ++i)
-    EXPECT_EQ(member[i] != 0, tag.may_contain(hops[i])) << "hop " << i;
-
-  // One hop's mask against a tag column (the SoA pipeline's shape).
-  std::vector<std::uint64_t> tags;
-  std::vector<bool> expect;
-  for (std::size_t i = 0; i < hops.size(); i += 2) {
-    const BloomTag t = BloomTag::of_hop(hops[i], 16) |
-                       BloomTag::of_hop(hops[(i + 1) % hops.size()], 16);
-    tags.push_back(t.value());
-    expect.push_back(t.may_contain(hops[0]));
-  }
-  std::vector<std::uint8_t> got(tags.size());
-  bloom_tags_contain(tags.data(), tags.size(), masks[0], got.data());
-  for (std::size_t i = 0; i < tags.size(); ++i)
-    EXPECT_EQ(got[i] != 0, expect[i]) << "tag " << i;
 }
 
 }  // namespace

@@ -18,6 +18,11 @@ struct TopoCase {
   int kind;  // 0=linear(5) 1=ft4 2=internet2(3) 3=stanford(14,2) 4=toy
 };
 
+// Names each case after its topology. gtest's default printout is the raw
+// struct bytes, which embed the address of `name` and so changed the ctest
+// name on every discovery run under ASLR.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 Topology make(int kind) {
   switch (kind) {
     case 0: return linear(5);

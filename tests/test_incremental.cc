@@ -7,7 +7,6 @@
 
 #include "controller/routing.hpp"
 #include "testutil.hpp"
-#include "veridp/verifier.hpp"
 #include "veridp/workload.hpp"
 
 namespace veridp {
@@ -66,7 +65,6 @@ TEST(Incremental, AddRuleRedirectsTraffic) {
   EXPECT_TRUE(upd.consistent_with_rebuild());
 
   // The new drop path exists and verifies like the data plane would act.
-  Verifier v(upd.table());
   const auto* drops = upd.table().lookup(PortKey{0, 3}, PortKey{2, kDropPort});
   ASSERT_NE(drops, nullptr);
   bool found = false;

@@ -63,8 +63,7 @@ TEST_F(Figure7, LocalizesS1AndRecoversRealPath) {
   HeaderSpace space;
   ConfigTransferProvider provider(space, topo, controller.logical_configs());
   PathTable table = PathTableBuilder(space, topo, provider).build();
-  Verifier v(table);
-  EXPECT_FALSE(v.verify(result.reports[0]).ok());
+  EXPECT_FALSE(verify_report(result.reports[0], table).ok());
 
   // Algorithm 4 recovers the real path and blames S1.
   Localizer loc(topo, controller.logical_configs());
@@ -83,8 +82,7 @@ TEST_F(Figure7, NoFaultMeansCleanVerification) {
   HeaderSpace space;
   ConfigTransferProvider provider(space, topo, controller.logical_configs());
   PathTable table = PathTableBuilder(space, topo, provider).build();
-  Verifier v(table);
-  EXPECT_TRUE(v.verify(result.reports[0]).ok());
+  EXPECT_TRUE(verify_report(result.reports[0], table).ok());
 }
 
 TEST_F(Figure7, MidPathFaultAtS2IsLocalized) {
@@ -128,7 +126,6 @@ TEST(Localizer, FatTreeSweepRecoversMostRealPaths) {
   HeaderSpace space;
   ConfigTransferProvider provider(space, topo, c.logical_configs());
   PathTable table = PathTableBuilder(space, topo, provider).build();
-  Verifier v(table);
   Localizer loc(topo, c.logical_configs());
   const auto flows = workload::ping_all(topo);
 
@@ -153,7 +150,7 @@ TEST(Localizer, FatTreeSweepRecoversMostRealPaths) {
     for (const auto& flow : flows) {
       const auto r = net.inject(flow.header, flow.entry);
       for (const TagReport& rep : r.reports) {
-        if (v.verify(rep).ok()) continue;
+        if (verify_report(rep, table).ok()) continue;
         ++failed;
         if (r.disposition == Disposition::kTtlExpired) ++loops;
         if (loc.infer(rep).recovered(r.path)) ++recovered;
@@ -188,12 +185,11 @@ class PerClassBlame : public ::testing::Test {
     HeaderSpace space;
     ConfigTransferProvider provider(space, topo, ctrl.logical_configs());
     PathTable table = PathTableBuilder(space, topo, provider).build();
-    Verifier v(table);
     Localizer loc(topo, ctrl.logical_configs());
     for (const auto& f : workload::ping_all(topo)) {
       const auto r = net.inject(f.header, f.entry);
       for (const TagReport& rep : r.reports) {
-        if (v.verify(rep).ok()) continue;
+        if (verify_report(rep, table).ok()) continue;
         ++failed;
         bool hit = false;
         for (const Candidate& cand : loc.infer(rep).candidates)

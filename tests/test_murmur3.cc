@@ -71,26 +71,6 @@ TEST(Murmur3, BitBalance) {
   }
 }
 
-TEST(Murmur3, Batch12MatchesGenericOnEveryRecord) {
-  // The fixed-12-byte batch kernel must be bit-identical to the generic
-  // routine over the same bytes — strided records, any seed.
-  constexpr std::size_t kRecords = 300;
-  constexpr std::size_t kStride = 20;  // 12 hashed + 8 skipped
-  std::vector<std::byte> data(kRecords * kStride);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    data[i] = static_cast<std::byte>((i * 131) ^ (i >> 3));
-
-  for (const std::uint32_t seed : {0u, 1u, 0xdeadbeefu}) {
-    std::vector<std::uint32_t> batch(kRecords);
-    murmur3_32_batch12(data.data(), kStride, kRecords, batch.data(), seed);
-    for (std::size_t i = 0; i < kRecords; ++i) {
-      const auto rec =
-          std::span<const std::byte>(data.data() + i * kStride, 12);
-      EXPECT_EQ(batch[i], murmur3_32(rec, seed)) << "record " << i;
-    }
-  }
-}
-
 TEST(Murmur3, AvalancheOnSingleBitFlip) {
   // Flipping one input bit should flip ~16 of 32 output bits on average.
   int total_flips = 0;

@@ -385,6 +385,35 @@ TEST(ParallelServer, MemoHitsStayInsideTheVerifiedLedger) {
       << "health ledger and profiler attribution agree";
 }
 
+// batch_size = 0 means "autotune", as IngestConfig::batch_size does; it
+// must not fall back to one report per dequeue.
+TEST(ParallelServer, ZeroBatchSizeAutotunesLikeTheIngest) {
+  Rig rig(linear(3));
+  ParallelConfig cfg;
+  cfg.workers = 1;
+  cfg.batch_size = 0;
+  ParallelServer parallel(rig.controller, cfg);
+  rig.install_and_deploy();
+  parallel.sync();
+
+  const std::vector<TagReport> base = rig.collect_reports();
+  ASSERT_GT(base.size(), 0u);
+  // Pre-filled before start() so the lone worker finds a deep lane.
+  constexpr std::size_t kPre = 512;
+  std::unordered_map<SwitchId, std::uint32_t> next_seq;
+  for (std::size_t i = 0; i < kPre; ++i) {
+    TagReport r = base[i % base.size()];
+    r.seq = ++next_seq[r.outport.sw];
+    ASSERT_TRUE(parallel.submit(r));
+  }
+  parallel.start();
+  parallel.drain();
+  parallel.stop();
+
+  EXPECT_EQ(parallel.health().verified, kPre);
+  EXPECT_GT(parallel.profiler().totals().batch_occupancy(), 1.0);
+}
+
 // Skewed load: every report targets ONE switch, so the whole stream
 // lands in a single lane. The owning worker alone would serialize it;
 // the other workers must steal from the deep lane — and the verdicts

@@ -175,6 +175,13 @@ TEST(PathBuilder, FatTreeRoutingTableIsSaneAndDisjoint) {
   EXPECT_GE(stats.num_pairs, 16u * 15u);
   EXPECT_GE(stats.num_paths, stats.num_pairs);
   EXPECT_TRUE(table.disjoint_headers());
+  // Every entry's tag is Algorithm 1's tag of its own hop sequence.
+  std::size_t entries = 0;
+  table.for_each([&entries](PortKey, PortKey, const PathEntry& e) {
+    ++entries;
+    EXPECT_EQ(e.tag, BloomTag::of_path(e.path.data(), e.path.size()));
+  });
+  EXPECT_EQ(entries, stats.num_paths);
   // Spot-check a delivery path exists and is shortest (<= 5 hops + deliver).
   const auto& subnets = topo.subnets();
   const auto& [sp, ss] = subnets.front();
