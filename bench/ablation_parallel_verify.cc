@@ -122,7 +122,7 @@ double measure_stream(ParallelServer& ps, const std::vector<TagReport>& stream,
 void measure_pipeline(ParallelServer& ps, const std::vector<TagReport>& stream,
                       unsigned n, Point& p) {
   ps.profiler().reset();
-  const ParallelHealth before = ps.health();
+  const IngestHealth before = ps.health();
   std::size_t accepted = 0;
   for (const TagReport& r : stream) accepted += ps.submit(r) ? 1 : 0;
   if (accepted != stream.size())
@@ -133,7 +133,7 @@ void measure_pipeline(ParallelServer& ps, const std::vector<TagReport>& stream,
   ps.drain();
   const auto t1 = std::chrono::steady_clock::now();
   ps.stop();  // workers flush their cpu_ns slot on exit
-  const ParallelHealth after = ps.health();
+  const IngestHealth after = ps.health();
   if (after.passed - before.passed != accepted)
     std::printf("  (UNEXPECTED: %llu of %zu pipeline reports did not pass!)\n",
                 static_cast<unsigned long long>(accepted -

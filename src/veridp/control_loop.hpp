@@ -88,7 +88,7 @@ struct ControlLoopConfig {
 };
 
 /// One tick's worth of observed ingest state. Counters are CUMULATIVE
-/// (as exported by IngestHealth / ParallelHealth); the loop keeps the
+/// (as exported by IngestHealth); the loop keeps the
 /// previous sample and differentiates internally.
 struct PressureSample {
   std::size_t queue_depth = 0;

@@ -23,9 +23,6 @@ void IngestConfig::validate() const {
           "high_watermark must be below capacity (shedding must engage "
           "before the hard bound)");
   require(shed_modulus != 0, "shed_modulus must be non-zero");
-  require(backoff_factor >= 1.0,
-          "backoff_factor must be >= 1.0 (a back-off below 1 would speed "
-          "switches up)");
 }
 
 ReportIngest::ReportIngest(Server& server, IngestConfig cfg)
@@ -36,25 +33,6 @@ ReportIngest::ReportIngest(Server& server, IngestConfig cfg)
 bool ReportIngest::note_sequence(SwitchId sw, std::uint32_t seq) {
   return seq_state_.try_emplace(sw, cfg_.dedup_window)
       .first->second.note(seq);
-}
-
-void ReportIngest::maybe_signal_backoff() {
-  if (backoff_done_ || !backoff_sink_) return;
-  if (health_.received < backoff_next_at_) return;  // retry gate not reached
-  ++health_.backoff_signals;
-  if (backoff_sink_(cfg_.backoff_factor)) {
-    ++health_.backoff_acked;
-    backoff_done_ = true;
-    return;
-  }
-  // Signal lost in the southbound: retry after exponentially more
-  // received datagrams (1, 2, 4, ... — "time" here is report arrivals).
-  ++backoff_retries_;
-  if (backoff_retries_ > cfg_.backoff_max_retries) {
-    backoff_done_ = true;  // give up; shedding still bounds the queue
-    return;
-  }
-  backoff_next_at_ = health_.received + (1ull << backoff_retries_);
 }
 
 void ReportIngest::govern(AdmissionRegime regime,
@@ -68,46 +46,11 @@ void ReportIngest::govern(AdmissionRegime regime,
 }
 
 bool ReportIngest::admit(std::uint32_t seq) {
-  if (governed_) {
-    // Declared regime policies (admission.hpp). The one-shot back-off
-    // signal stays quiet: the control loop commands the sampling rate
-    // directly, and two actuators on one knob would fight.
-    switch (policy_for(regime_)) {
-      case AdmissionPolicy::kQuarantineOnly:
-        ++health_.shed;
-        return false;
-      case AdmissionPolicy::kDeterministicSample:
-        if (queue_.size() >= cfg_.capacity || seq % cfg_.shed_modulus != 0) {
-          ++health_.shed;
-          return false;
-        }
-        return true;
-      case AdmissionPolicy::kVerifyAll:
-        if (queue_.size() >= cfg_.capacity) {
-          ++health_.shed;
-          return false;
-        }
-        return true;
-    }
-    return true;  // unreachable
-  }
-  // Ungoverned legacy policy: fixed watermark + deterministic modulus +
-  // one-shot exponential back-off signal.
-  if (queue_.size() >= cfg_.capacity) {
-    ++health_.shed;
-    maybe_signal_backoff();
-    return false;
-  }
-  if (queue_.size() >= cfg_.high_watermark) {
-    maybe_signal_backoff();
-    // Deterministic sample: the kept subset depends only on sequence
-    // numbers, so a rerun with the same seed sheds the same reports.
-    if (seq % cfg_.shed_modulus != 0) {
-      ++health_.shed;
-      return false;
-    }
-  }
-  return true;
+  if (admits(policy_for(admission_regime()), queue_.size(), cfg_.capacity,
+             seq, cfg_.shed_modulus))
+    return true;
+  ++health_.shed;
+  return false;
 }
 
 bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
@@ -144,6 +87,7 @@ bool ReportIngest::offer_report(const TagReport& report) {
 
 std::size_t ReportIngest::process(std::size_t max) {
   const std::size_t batch = resolve_batch_size(cfg_.batch_size);
+  const std::uint64_t memo_hits0 = server_->memo_hits();
   std::size_t head = 0;  // verified prefix of the queue
   std::size_t n = 0;
   if (batch <= 1) {
@@ -182,6 +126,8 @@ std::size_t ReportIngest::process(std::size_t max) {
     }
   }
   queue_.consume_prefix(head);
+  health_.verified += n;
+  health_.memo_hits += server_->memo_hits() - memo_hits0;
   return n;
 }
 
@@ -202,6 +148,7 @@ IngestHealth ReportIngest::health() const {
   IngestHealth h = health_;
   h.in_queue = queue_.size();
   h.regime = regime_;
+  h.failsafe_events = server_->failsafe_events();
   h.lost_estimate = 0;
   for (const auto& [sw, tracker] : seq_state_)
     h.lost_estimate += tracker.lost_estimate();

@@ -16,16 +16,14 @@
 //     how many reports the channel lost;
 //   * load shedding — a bounded queue with a high watermark: above it the
 //     ingest verifies only a deterministic sample (seq % shed_modulus ==
-//     0, reproducible run-to-run) and signals switches to back off their
-//     sampling interval, retrying the signal with exponential spacing if
-//     it is lost (it rides the same unreliable fabric as everything
-//     else).
+//     0, reproducible run-to-run). Slowing the switches' sampling under
+//     load (§4.5) is the control loop's job: IngestGovernor
+//     (control_loop.hpp) commands both the admission regime and
+//     Network::command_sampling.
 //
-// Every received datagram lands in exactly one bucket:
-//   passed + failed + stale + shed + quarantined + deduped + in-queue
-//     == received
-// which the overload tests assert — graceful degradation must account
-// for what it degraded.
+// Every received datagram lands in exactly one bucket of IngestHealth
+// (admission.hpp), which the overload tests assert — graceful
+// degradation must account for what it degraded.
 //
 // Thread-safety: NOT internally synchronized — this is the sequential
 // Server's single-threaded front door. The multi-producer analogue is
@@ -52,8 +50,6 @@ struct IngestConfig {
   std::size_t high_watermark = 768;   ///< shedding starts above this
   std::uint32_t shed_modulus = 4;     ///< keep seq % modulus == 0 when shedding
   std::size_t dedup_window = 4096;    ///< remembered seqs per switch
-  double backoff_factor = 2.0;        ///< sampling-interval multiplier
-  int backoff_max_retries = 6;        ///< signal retries before giving up
   std::size_t quarantine_keep = 16;   ///< malformed payloads retained
   std::size_t failure_keep = 32;      ///< failed reports retained
   /// Lanes per verify_epoch_aware_batch call in process(): 0 autotunes
@@ -65,40 +61,10 @@ struct IngestConfig {
 
   /// Throws std::invalid_argument on a config that silently misbehaves:
   /// capacity == 0 (nothing can ever be queued), high_watermark >=
-  /// capacity (shedding could not engage before the hard bound),
-  /// shed_modulus == 0 (seq % 0 is UB) and backoff_factor < 1.0 (the
-  /// "back-off" would speed switches up). ReportIngest validates at
+  /// capacity (shedding could not engage before the hard bound) and
+  /// shed_modulus == 0 (seq % 0 is UB). ReportIngest validates at
   /// construction.
   void validate() const;
-};
-
-struct IngestHealth {
-  std::uint64_t received = 0;     ///< datagrams offered
-  std::uint64_t passed = 0;       ///< verified kOk
-  std::uint64_t failed = 0;       ///< verified kNoPath / kTagMismatch
-  std::uint64_t stale = 0;        ///< verified kStaleEpoch (inconclusive)
-  std::uint64_t shed = 0;         ///< dropped by load shedding
-  std::uint64_t quarantined = 0;  ///< failed decode
-  std::uint64_t deduped = 0;      ///< duplicate seq suppressed
-  std::uint64_t in_queue = 0;     ///< admitted, not yet verified
-  std::uint64_t lost_estimate = 0;    ///< per-switch seq gaps
-  std::uint64_t backoff_signals = 0;  ///< back-off attempts sent
-  std::uint64_t backoff_acked = 0;    ///< attempts acknowledged
-  AdmissionRegime regime = AdmissionRegime::kNormal;  ///< commanded regime
-  std::uint64_t regime_transitions = 0;  ///< edge-triggered changes applied
-
-  /// Everything that reached a terminal bucket. Equals `received` once
-  /// the queue is drained (the conservation law above).
-  [[nodiscard]] std::uint64_t accounted() const {
-    return passed + failed + stale + shed + quarantined + deduped;
-  }
-  /// The conservation law INCLUDING in-flight reports: every received
-  /// datagram is in exactly one terminal bucket or still queued. Exact
-  /// at any point of the sequential ingest's life — the invariants
-  /// harness asserts it mid-flight, not only after drain.
-  [[nodiscard]] bool conserved() const {
-    return accounted() + in_queue == received;
-  }
 };
 
 class ReportIngest {
@@ -106,14 +72,6 @@ class ReportIngest {
   /// The server must outlive the ingest. Throws std::invalid_argument
   /// if `cfg` fails IngestConfig::validate().
   explicit ReportIngest(Server& server, IngestConfig cfg = {});
-
-  /// Back-off transport: invoked with the sampling-interval factor when
-  /// the queue crosses the high watermark; returns true iff the signal
-  /// reached the switches (false models a lost southbound message and
-  /// triggers an exponentially spaced retry).
-  void set_backoff_sink(std::function<bool(double factor)> sink) {
-    backoff_sink_ = std::move(sink);
-  }
 
   /// Observation tap: invoked for every report process() verifies, with
   /// the verdict it received, in verification order. The fuzz oracle
@@ -141,12 +99,13 @@ class ReportIngest {
 
   /// Hands admission over to a control loop: from now on the commanded
   /// regime's declared policy (admission.hpp) replaces the fixed
-  /// watermark + one-shot back-off of the ungoverned ingest —
-  /// kNormal verifies all (hard capacity bound only), kSoft keeps the
-  /// deterministic seq % modulus == 0 sample, kHard admits nothing to
-  /// the verify queue. Edge-triggered: applying the current regime
-  /// again only updates the modulus. Typically called each tick by
-  /// IngestGovernor (control_loop.hpp).
+  /// watermark of the ungoverned ingest — kNormal verifies all (hard
+  /// capacity bound only), kSoft keeps the deterministic seq % modulus
+  /// == 0 sample, kHard admits nothing to the verify queue. A modulus
+  /// of 0 keeps the last commanded one (else the configured one).
+  /// Edge-triggered: applying the current regime again only updates the
+  /// modulus. Typically called each tick by IngestGovernor
+  /// (control_loop.hpp).
   void govern(AdmissionRegime regime, std::uint32_t shed_modulus);
   [[nodiscard]] bool governed() const { return governed_; }
   [[nodiscard]] AdmissionRegime regime() const { return regime_; }
@@ -154,8 +113,7 @@ class ReportIngest {
   [[nodiscard]] const IngestConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] bool shedding() const {
-    return governed_ ? regime_ != AdmissionRegime::kNormal
-                     : queue_.size() >= cfg_.high_watermark;
+    return admission_regime() != AdmissionRegime::kNormal;
   }
   /// Health counters with the loss estimate refreshed.
   [[nodiscard]] IngestHealth health() const;
@@ -174,7 +132,11 @@ class ReportIngest {
  private:
   /// Returns false if the report is a duplicate.
   bool note_sequence(SwitchId sw, std::uint32_t seq);
-  void maybe_signal_backoff();
+  /// The commanded regime, or the watermark's when ungoverned.
+  [[nodiscard]] AdmissionRegime admission_regime() const {
+    return governed_ ? regime_
+                     : watermark_regime(queue_.size(), cfg_.high_watermark);
+  }
   /// Post-dedup admission decision shared by offer / offer_report:
   /// returns true iff the report should be queued (false: counted shed).
   bool admit(std::uint32_t seq);
@@ -198,11 +160,7 @@ class ReportIngest {
   std::deque<std::vector<std::uint8_t>> quarantine_;
   std::deque<TagReport> failures_;
 
-  std::function<bool(double)> backoff_sink_;
   std::function<void(const TagReport&, const Verdict&)> verdict_sink_;
-  bool backoff_done_ = false;     ///< acked or out of retries
-  int backoff_retries_ = 0;
-  std::uint64_t backoff_next_at_ = 0;  ///< received-count gate for retry
 };
 
 }  // namespace veridp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "dataplane/wire.hpp"
 #include "veridp/path_builder.hpp"
@@ -31,22 +32,6 @@ inline T read_relaxed(const std::atomic<T>& c) {
 
 }  // namespace
 
-EpochTables EpochSnapshot::view() const {
-  // Checked builds abort here on use-after-retire / use-across-
-  // failsafe-flip (lockdep.hpp); release builds see gen 0 and pass.
-  lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
-  EpochTables t;
-  t.epoch_checking = epoch_checking;
-  t.epoch = epoch;
-  t.table_valid_from = table_valid_from;
-  t.table_valid_to = table_valid_to;
-  t.grace_window = grace_window;
-  t.current = current.get();
-  t.ring = ranges.data();
-  t.ring_size = ranges.size();
-  return t;
-}
-
 ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
                                int tag_bits)
     : controller_(&controller),
@@ -57,19 +42,22 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
                         : (std::thread::hardware_concurrency()
                                ? std::thread::hardware_concurrency()
                                : 1)) {
-  if (cfg_.high_watermark > cfg_.queue_capacity)
-    cfg_.high_watermark = cfg_.queue_capacity;
-  if (cfg_.shed_modulus == 0) cfg_.shed_modulus = 1;
-  cfg_.batch_size = resolve_batch_size(cfg_.batch_size);
-  if (cfg_.steal_threshold == 0) cfg_.steal_threshold = 1;
-  shards_ = cfg_.shards ? cfg_.shards : 1;
   // One lane per worker; the global bounds split evenly so total queued
   // work stays capped at queue_capacity whatever the lane count.
   const std::size_t nlanes = worker_count();
+  if (cfg_.queue_capacity < nlanes)
+    throw std::invalid_argument(
+        "ParallelConfig: queue_capacity must be at least the worker count "
+        "(each lane needs room for one report)");
+  if (cfg_.high_watermark > cfg_.queue_capacity)
+    cfg_.high_watermark = cfg_.queue_capacity;
+  if (cfg_.shed_modulus == 0) cfg_.shed_modulus = 1;
+  shed_modulus_.store(cfg_.shed_modulus);
+  cfg_.batch_size = resolve_batch_size(cfg_.batch_size);
+  if (cfg_.steal_threshold == 0) cfg_.steal_threshold = 1;
+  shards_ = cfg_.shards ? cfg_.shards : 1;
   lane_capacity_ = cfg_.queue_capacity / nlanes;
-  if (lane_capacity_ == 0) lane_capacity_ = 1;
-  lane_watermark_ = cfg_.high_watermark / nlanes;
-  if (lane_watermark_ > lane_capacity_) lane_watermark_ = lane_capacity_;
+  lane_watermark_ = cfg_.high_watermark / nlanes;  // <= lane_capacity_
   lanes_.reserve(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i)
     lanes_.push_back(std::make_unique<Lane>(lane_capacity_));
@@ -81,9 +69,7 @@ ParallelServer::~ParallelServer() { stop(); }
 
 void ParallelServer::enable_epoch_checking(std::size_t snapshot_ring,
                                            std::uint32_t grace_window) {
-  epoch_checking_ = true;
-  ring_capacity_ = snapshot_ring;
-  grace_window_ = grace_window;
+  epochs_ = {true, snapshot_ring, grace_window};
 }
 
 void ParallelServer::on_rule_event(const RuleEvent&) {
@@ -107,33 +93,13 @@ void ParallelServer::rebuild_snapshot() {
   PathTableBuilder builder(space, topo, provider, tag_bits_);
   auto table = std::make_shared<const PathTable>(builder.build());
 
-  auto next = std::make_shared<EpochSnapshot>();
-  next->epoch = epoch_;
-  next->table_valid_from = epoch_;
-  next->table_valid_to = epoch_;  // covers exactly what it was built from
-  next->grace_window = grace_window_;
-  next->epoch_checking = epoch_checking_;
-  next->current = std::move(table);
-
-  // Retire the superseded table into the ring (same rule as
-  // Server::rebuild): reports sampled under epochs
-  // [prev valid-from, dirty_from_ - 1] are still in flight and must be
-  // judged against it.
+  // The superseded table retires into the ring for the epochs up to the
+  // first pending event (next_snapshot).
   // veridp-lint: allow(relaxed-atomic, control-thread self-read; it performed every store)
   const std::shared_ptr<const EpochSnapshot> prev =
       snap_.load(std::memory_order_relaxed);
-  if (epoch_checking_ && prev && dirty_ &&
-      dirty_from_ > prev->table_valid_from) {
-    next->retained.push_back(prev->current);
-    next->ranges.push_back(
-        {prev->table_valid_from, dirty_from_ - 1, prev->current.get()});
-    for (std::size_t i = 0;
-         i < prev->ranges.size() && next->ranges.size() < ring_capacity_;
-         ++i) {
-      next->retained.push_back(prev->retained[i]);
-      next->ranges.push_back(prev->ranges[i]);
-    }
-  }
+  const std::shared_ptr<const EpochSnapshot> next = next_snapshot(
+      prev.get(), std::move(table), epoch_, dirty_ ? dirty_from_ : 0, epochs_);
 
   // A/B flip: the finished unit lands in the inactive slot, then one
   // atomic store makes it the served snapshot. A successful publish
@@ -210,7 +176,7 @@ void ParallelServer::govern(AdmissionRegime regime,
   governed_.store(true, std::memory_order_relaxed);
   if (shed_modulus != 0)
     // veridp-lint: allow(relaxed-atomic, advisory admission knobs; each read stands alone)
-    governed_modulus_.store(shed_modulus, std::memory_order_relaxed);
+    shed_modulus_.store(shed_modulus, std::memory_order_relaxed);
   const auto next = static_cast<std::uint8_t>(regime);
   // veridp-lint: allow(relaxed-atomic, advisory admission knobs; each read stands alone)
   if (regime_.exchange(next, std::memory_order_relaxed) != next)
@@ -296,11 +262,6 @@ void ParallelServer::start() {
   failure_consumer_ = std::thread([this] { failure_loop(); });
 }
 
-void ParallelServer::count_shed(Lane& lane) {
-  MutexLock lk(lane.mu);
-  ++lane.shed;
-}
-
 bool ParallelServer::submit(const TagReport& report) {
   Lane& lane = lane_for(report.outport.sw);
   {
@@ -313,42 +274,18 @@ bool ParallelServer::submit(const TagReport& report) {
       return false;
     }
   }
-  // Shed checks run outside the lane ingest lock — the queue has its
+  // Admission runs outside the lane ingest lock — the queue has its
   // own synchronization and the depth reading is advisory anyway.
   const std::size_t depth = lane.q.size();
-  if (read_relaxed(governed_)) {
-    // A control loop commands admission: the regime's declared policy
-    // (admission.hpp) replaces the fixed watermark.
-    switch (policy_for(static_cast<AdmissionRegime>(read_relaxed(regime_)))) {
-      case AdmissionPolicy::kQuarantineOnly:
-        count_shed(lane);
-        return false;
-      case AdmissionPolicy::kDeterministicSample:
-        if (depth >= lane_capacity_ ||
-            report.seq % read_relaxed(governed_modulus_) != 0) {
-          count_shed(lane);
-          return false;
-        }
-        break;
-      case AdmissionPolicy::kVerifyAll:
-        if (depth >= lane_capacity_) {
-          count_shed(lane);
-          return false;
-        }
-        break;
-    }
-  } else {
-    if (depth >= lane_capacity_) {
-      count_shed(lane);
-      return false;
-    }
-    if (depth >= lane_watermark_ && report.seq % cfg_.shed_modulus != 0) {
-      count_shed(lane);
-      return false;
-    }
-  }
-  if (!lane.q.try_push(report)) {
-    count_shed(lane);
+  const AdmissionRegime regime =
+      read_relaxed(governed_)
+          ? static_cast<AdmissionRegime>(read_relaxed(regime_))
+          : watermark_regime(depth, lane_watermark_);
+  if (!admits(policy_for(regime), depth, lane_capacity_, report.seq,
+              read_relaxed(shed_modulus_)) ||
+      !lane.q.try_push(report)) {
+    MutexLock lk(lane.mu);
+    ++lane.shed;
     return false;
   }
   return true;
@@ -546,8 +483,8 @@ std::uint64_t ParallelServer::queue_over_reported() const {
   return n;
 }
 
-ParallelHealth ParallelServer::health() const {
-  ParallelHealth h;
+IngestHealth ParallelServer::health() const {
+  IngestHealth h;
   for (const auto& lane : lanes_) {
     MutexLock lk(lane->mu);
     h.received += lane->received;

@@ -33,15 +33,16 @@
 // decided at lane admission, before any steal can move the report.
 //
 // Snapshot publication (RCU-style): the path table plus the ring of
-// retired tables live in one immutable EpochSnapshot published through
-// an atomic shared_ptr swap. Readers take no lock — they load the
+// retired tables live in one immutable EpochSnapshot (verifier.hpp, the
+// snapshot model the sequential Server shares) published through an
+// atomic shared_ptr swap. Readers take no lock — they load the
 // pointer once per batch and verify against frozen state; a concurrent
 // publish() builds the *next* snapshot in a **fresh BDD arena** (its own
 // HeaderSpace), so table construction never mutates nodes a reader is
 // evaluating, then swaps the pointer. Old snapshots stay alive until the
-// last in-flight batch drops its reference. This subsumes the sequential
-// Server's snapshot ring: epoch-stale reports verify against the table
-// of the epoch they were stamped under, without locking the hot path.
+// last in-flight batch drops its reference. Epoch-stale reports verify
+// against the table of the epoch they were stamped under, without
+// locking the hot path.
 //
 // Equivalence guarantee: verification classification is the shared
 // verify_epoch_aware (verifier.hpp) — the same function the sequential
@@ -93,7 +94,10 @@ namespace veridp {
 
 struct ParallelConfig {
   unsigned workers = 0;              ///< 0 = hardware_concurrency
-  std::size_t queue_capacity = 4096; ///< hard bound, split across lanes
+  /// Hard bound, split evenly across the lanes (one per worker); must be
+  /// at least the worker count, or a lane could not hold one report
+  /// without breaking the total.
+  std::size_t queue_capacity = 4096;
   std::size_t high_watermark = 3072; ///< shedding starts above this (split)
   std::uint32_t shed_modulus = 4;    ///< keep seq % modulus == 0 when shedding
   /// Reports per worker dequeue — also the lane count handed to
@@ -109,96 +113,8 @@ struct ParallelConfig {
   std::uint32_t idle_backoff_us = 200;  ///< idle sleep between steal scans
 };
 
-/// Merged health counters (the parallel analogue of IngestHealth).
-/// Conservation law — every submitted report sits in exactly one
-/// terminal bucket or is still queued:
-///
-///   received == passed + failed + stale + shed + quarantined + deduped
-///               + in_queue
-///
-/// and within the verified portion:
-///
-///   verified  == passed + failed + stale
-///   memo_hits <= verified
-///
-/// memo_hits is deliberately NOT a seventh bucket: a report answered
-/// from the per-worker verify memo IS verified — the memo returns a
-/// verdict bit-identical to recomputation, and that verdict is counted
-/// in passed/failed/stale like any other. memo_hits records how many of
-/// the verified reports took the memo fast path. accounted() is the
-/// terminal-bucket sum of the first law; conserved() checks all three
-/// relations (the invariant the stress tests assert).
-struct ParallelHealth {
-  std::uint64_t received = 0;
-  std::uint64_t verified = 0;  ///< == passed + failed + stale
-  std::uint64_t passed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t deduped = 0;
-  std::uint64_t lost_estimate = 0;
-  std::uint64_t memo_hits = 0;  ///< verified via the memo fast path
-  std::uint64_t in_queue = 0;   ///< admitted, not yet verified
-  AdmissionRegime regime = AdmissionRegime::kNormal;  ///< commanded regime
-  std::uint64_t regime_transitions = 0;  ///< edge-triggered changes applied
-  std::uint64_t failsafe_events = 0;     ///< watchdog failovers (loud)
-  std::uint64_t snapshot_flips = 0;      ///< A/B slot publications
-
-  [[nodiscard]] std::uint64_t accounted() const {
-    return passed + failed + stale + shed + quarantined + deduped;
-  }
-  /// Exact whenever no worker is mid-batch (before start(), after
-  /// drain()/stop(), or with producers and workers quiescent): between a
-  /// worker popping a batch and counting its verdicts the reports are in
-  /// neither bucket, so a mid-flight snapshot may transiently violate
-  /// the law — the sequential IngestHealth::conserved() is the
-  /// any-time-exact variant.
-  [[nodiscard]] bool conserved() const {
-    return accounted() + in_queue == received &&
-           verified == passed + failed + stale && memo_hits <= verified;
-  }
-};
-
-/// One immutable published unit: the current table, the retired ring and
-/// the epoch bookkeeping verify_epoch_aware needs. Never mutated after
-/// publication; destroyed when the last reader drops its shared_ptr.
-///
-/// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
-/// registers a lockdep lifecycle generation at construction; the
-/// failsafe watchdog retires the generation of the slot it abandons,
-/// and view() aborts on a retired or destroyed generation — the
-/// arena-generation trick of §8.3 applied to snapshots. The contract
-/// it enforces: a snapshot handle is used within one batch under a
-/// live shared_ptr pin and never across a failsafe flip.
-struct EpochSnapshot {
-  std::uint32_t epoch = 0;
-  std::uint32_t table_valid_from = 0;
-  /// Last epoch the snapshot's current table definitively covers —
-  /// the epoch at publication. Reports stamped beyond it (rule events
-  /// the publisher has not absorbed, e.g. while wedged in failsafe) fall
-  /// under verify_epoch_aware's ahead-of-table rule: pass-conclusive,
-  /// mismatch → kStaleEpoch, never a false positive.
-  std::uint32_t table_valid_to = UINT32_MAX;
-  std::uint32_t grace_window = 64;
-  bool epoch_checking = false;
-  std::shared_ptr<const PathTable> current;
-  /// Retired tables kept alive for the ring (newest first, parallel to
-  /// `ranges`).
-  std::vector<std::shared_ptr<const PathTable>> retained;
-  std::vector<EpochTables::Range> ranges;
-  /// Lifecycle generation: 0 in release builds (check() passes), a
-  /// fresh registry entry in checked builds. The field itself is
-  /// unconditional so checked and plain TUs agree on the layout.
-  std::uint64_t lifecycle_gen = lockdep::snapshot::register_gen();
-
-  EpochSnapshot() = default;
-  EpochSnapshot(const EpochSnapshot&) = delete;
-  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
-  ~EpochSnapshot() { lockdep::snapshot::unregister(lifecycle_gen); }
-
-  [[nodiscard]] EpochTables view() const;
-};
+/// perfbench/e2e.cc still names the parallel ledger by its old name.
+using ParallelHealth = IngestHealth;
 
 class ParallelServer {
  public:
@@ -213,7 +129,8 @@ class ParallelServer {
   };
 
   /// Subscribes to `controller`'s rule events (controller must outlive
-  /// the server and mutate only from the control thread).
+  /// the server and mutate only from the control thread). Throws
+  /// std::invalid_argument if cfg.queue_capacity < worker_count().
   explicit ParallelServer(Controller& controller, ParallelConfig cfg = {},
                           int tag_bits = BloomTag::kDefaultBits);
   ~ParallelServer();
@@ -268,7 +185,9 @@ class ParallelServer {
   /// operator): the commanded regime's declared policy (admission.hpp)
   /// replaces the fixed per-lane watermark — kNormal admits up to the
   /// lane bound, kSoft keeps the deterministic seq % modulus sample,
-  /// kHard admits nothing. Edge-triggered transition counting. Control
+  /// kHard admits nothing. A modulus of 0 keeps the last commanded one
+  /// (else the configured one), as ReportIngest::govern does.
+  /// Edge-triggered transition counting. Control
   /// thread writes; submit() reads the commands with relaxed atomics
   /// (a report raced with a regime flip lands under either policy,
   /// both of which conserve).
@@ -306,7 +225,7 @@ class ParallelServer {
   /// drain() + joins the pool. Idempotent; start() may be called again.
   void stop();
 
-  [[nodiscard]] ParallelHealth health() const;
+  [[nodiscard]] IngestHealth health() const;
 
   /// Drains the mismatches the localization stage retained (bounded by
   /// failure_keep). Control thread only.
@@ -320,7 +239,7 @@ class ParallelServer {
     return snap_.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  [[nodiscard]] bool epoch_checking() const { return epoch_checking_; }
+  [[nodiscard]] bool epoch_checking() const { return epochs_.checking; }
   [[nodiscard]] std::uint64_t snapshots_published() const {
     // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
     return published_.load(std::memory_order_relaxed);
@@ -387,7 +306,6 @@ class ParallelServer {
     const std::size_t shard = static_cast<std::size_t>(sw) % shards_;
     return *lanes_[shard % lanes_.size()];
   }
-  void count_shed(Lane& lane);
   /// Deepest sibling lane with at least steal_threshold queued reports,
   /// or nullptr. O(lanes) advisory size reads — only taken when the
   /// worker's own lane ran dry.
@@ -406,9 +324,7 @@ class ParallelServer {
   // Control-plane state (single control thread).
   bool synced_ = false;
   bool dirty_ = false;
-  bool epoch_checking_ = false;
-  std::size_t ring_capacity_ = 8;
-  std::uint32_t grace_window_ = 64;
+  EpochPolicy epochs_;
   std::uint32_t epoch_ = 0;
   std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
 
@@ -432,7 +348,7 @@ class ParallelServer {
   // Admission commands (control thread writes, submit() reads).
   std::atomic<bool> governed_{false};
   std::atomic<std::uint8_t> regime_{0};
-  std::atomic<std::uint32_t> governed_modulus_{1};
+  std::atomic<std::uint32_t> shed_modulus_;  ///< last commanded, or cfg's
   std::atomic<std::uint64_t> regime_transitions_{0};
 
   // Data-plane pipeline.

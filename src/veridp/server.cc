@@ -16,9 +16,7 @@ Server::Server(Controller& controller, Mode mode, int tag_bits,
 
 void Server::enable_epoch_checking(std::size_t snapshot_ring,
                                    std::uint32_t grace_window) {
-  epoch_checking_ = true;
-  ring_capacity_ = snapshot_ring;
-  grace_window_ = grace_window;
+  epochs_ = {true, snapshot_ring, grace_window};
 }
 
 void Server::on_rule_event(const RuleEvent& ev) {
@@ -36,8 +34,7 @@ void Server::on_rule_event(const RuleEvent& ev) {
       return;
     }
     updater_->apply(ev);
-    table_valid_from_ = epoch_;
-    memo_.clear();  // table mutated in place: cached verdicts are void
+    publish_in_place();
   } else {
     if (!dirty_) {
       dirty_ = true;  // lazy rebuild before the next lookup
@@ -46,33 +43,39 @@ void Server::on_rule_event(const RuleEvent& ev) {
   }
 }
 
+void Server::publish(std::shared_ptr<const PathTable> table,
+                     std::uint32_t retire_below) {
+  snap_ = next_snapshot(snap_.get(), std::move(table), epoch_, retire_below,
+                        epochs_);
+  memo_.clear();
+}
+
+void Server::publish_in_place() {
+  // Non-owning alias: the updater owns the table and edits it in place,
+  // so there is no old version to retire.
+  publish(std::shared_ptr<const PathTable>(std::shared_ptr<const PathTable>(),
+                                           &updater_->table()),
+          0);
+}
+
 void Server::rebuild() {
   const Topology& topo = controller_->topology();
   if (mode_ == Mode::kIncremental) {
     updater_ = std::make_unique<IncrementalUpdater>(space_, topo, tag_bits_);
     updater_->initialize(controller_->logical_configs());
+    publish_in_place();
   } else {
-    // Retire the superseded table into the snapshot ring: reports sampled
-    // under epochs [table_valid_from_, dirty_from_ - 1] are still in
-    // flight and must be judged against it, and Verdict::matched pointers
-    // handed out against it stay valid until the snapshot ages out.
-    if (epoch_checking_ && synced_ && dirty_ &&
-        dirty_from_ > table_valid_from_) {
-      ring_.push_front(
-          {table_valid_from_, dirty_from_ - 1, std::move(full_table_)});
-      while (ring_.size() > ring_capacity_) ring_.pop_back();
-      ring_view_.clear();
-      for (const Snapshot& s : ring_)
-        ring_view_.push_back({s.first_epoch, s.last_epoch, &s.table});
-    }
+    // The superseded table retires into the snapshot ring: reports
+    // sampled under epochs [its valid-from, dirty_from_ - 1] are still
+    // in flight and must be judged against it, and Verdict::matched
+    // pointers handed out against it stay valid until it ages out.
     ConfigTransferProvider provider(space_, topo,
                                     controller_->logical_configs());
     PathTableBuilder builder(space_, topo, provider, tag_bits_);
-    full_table_ = builder.build();
+    publish(std::make_shared<const PathTable>(builder.build()),
+            dirty_ ? dirty_from_ : 0);
   }
-  table_valid_from_ = epoch_;
   dirty_ = false;
-  memo_.clear();
 }
 
 void Server::sync() {
@@ -98,8 +101,7 @@ void Server::ensure_fresh() {
     // Recovery: replay the backlog deferred while wedged, in order.
     updater_->apply_batch(deferred_);
     deferred_.clear();
-    table_valid_from_ = epoch_;
-    memo_.clear();
+    publish_in_place();
     dirty_ = false;
   } else {
     rebuild();
@@ -107,30 +109,20 @@ void Server::ensure_fresh() {
   in_failsafe_ = false;
 }
 
-const PathTable& Server::current_table() const {
-  return mode_ == Mode::kIncremental ? updater_->table() : full_table_;
-}
-
 const PathTable& Server::table() {
   ensure_fresh();
-  return current_table();
+  return *snap_->current;
 }
 
 PathTableStats Server::stats() { return table().stats(); }
 
 EpochTables Server::epoch_tables() const {
-  EpochTables t;
-  t.epoch_checking = epoch_checking_;
+  EpochTables t = snap_->view();
   t.epoch = epoch_;
-  t.table_valid_from = table_valid_from_;
   // Dirty (only possible here when the publisher is wedged — verify()
   // runs ensure_fresh first): the current table definitively covers only
   // epochs before the first pending event.
-  t.table_valid_to = dirty_ ? dirty_from_ - 1 : epoch_;
-  t.grace_window = grace_window_;
-  t.current = &current_table();
-  t.ring = ring_view_.data();
-  t.ring_size = ring_view_.size();
+  if (dirty_) t.table_valid_to = dirty_from_ - 1;
   return t;
 }
 

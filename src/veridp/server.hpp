@@ -21,9 +21,13 @@
 // failed. Either way, in-flight reports straddling a rule update can
 // never produce false positives. The ring also keeps Verdict::matched
 // pointers valid across lazy rebuilds until a snapshot ages out.
+//
+// The tables live in an EpochSnapshot (verifier.hpp) published by the
+// same next_snapshot rule ParallelServer uses; unlike that server this
+// one builds into its own (optionally shared) HeaderSpace and is read
+// only from the caller's thread.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -85,15 +89,18 @@ class Server {
   /// or epochs that fell between two lazy rebuilds).
   void enable_epoch_checking(std::size_t snapshot_ring = 8,
                              std::uint32_t grace_window = 64);
-  [[nodiscard]] bool epoch_checking() const { return epoch_checking_; }
+  [[nodiscard]] bool epoch_checking() const { return epochs_.checking; }
 
   /// The config epoch the server has observed (mirrors the controller).
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  /// Epoch the current table was built at; reports stamped >= this are
-  /// verified against the current table.
-  [[nodiscard]] std::uint32_t table_epoch() const { return table_valid_from_; }
-  /// Number of retained snapshots (kFullRebuild + epoch checking only).
-  [[nodiscard]] std::size_t snapshots() const { return ring_.size(); }
+  /// The published tables (null before sync): table_valid_from is the
+  /// epoch the current table was built at, `ranges` the retained ring
+  /// (kFullRebuild + epoch checking only). Holding the pointer keeps
+  /// kFullRebuild tables alive; a kIncremental snapshot's current table
+  /// is the updater's and changes with the next rule event.
+  [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
+    return snap_;
+  }
 
   // Health counters. Every verify() lands in exactly one of passed /
   // failed / stale.
@@ -124,19 +131,18 @@ class Server {
   }
 
  private:
-  struct Snapshot {
-    std::uint32_t first_epoch = 0;  ///< valid range, inclusive
-    std::uint32_t last_epoch = 0;
-    PathTable table;
-  };
-
   void on_rule_event(const RuleEvent& ev);
   void rebuild();
+  /// Publishes `table` as current from epoch_ on (next_snapshot) and
+  /// voids the memo. `retire_below` as in next_snapshot.
+  void publish(std::shared_ptr<const PathTable> table,
+               std::uint32_t retire_below);
+  /// publish() for the kIncremental updater's in-place table.
+  void publish_in_place();
   void ensure_fresh();
   [[nodiscard]] bool publisher_wedged() const {
     return publish_fault_ && publish_fault_();
   }
-  [[nodiscard]] const PathTable& current_table() const;
   /// View of the epoch → table state consumed by verify_epoch_aware
   /// (the classification shared with ParallelServer). Requires
   /// ensure_fresh() to have run.
@@ -146,7 +152,6 @@ class Server {
   Mode mode_;
   int tag_bits_;
   HeaderSpace space_;
-  PathTable full_table_;  // kFullRebuild mode storage
   std::unique_ptr<IncrementalUpdater> updater_;
   bool synced_ = false;
   bool dirty_ = false;
@@ -158,19 +163,13 @@ class Server {
   std::vector<RuleEvent> deferred_;  ///< kIncremental events queued while wedged
 
   // Epoch state.
-  bool epoch_checking_ = false;
-  std::size_t ring_capacity_ = 8;
-  std::uint32_t grace_window_ = 64;
+  EpochPolicy epochs_;
   std::uint32_t epoch_ = 0;
-  std::uint32_t table_valid_from_ = 0;
   std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
-  std::deque<Snapshot> ring_;     ///< newest first
-  /// Cached non-owning view of `ring_` (refreshed on rebuild) so each
-  /// verify() builds its EpochTables without allocating.
-  std::vector<EpochTables::Range> ring_view_;
-  /// Duplicate-report fast path. Valid only for the current epoch state:
-  /// cleared on every rebuild AND on every in-place incremental update
-  /// (kIncremental mutates the table without a rebuild).
+  std::shared_ptr<const EpochSnapshot> snap_;
+  /// Duplicate-report fast path. Valid only for the current snapshot:
+  /// cleared on every publish, including each in-place incremental
+  /// update.
   VerifyMemo memo_;
 
   // Health counters.

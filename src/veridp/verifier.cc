@@ -1,5 +1,7 @@
 #include "veridp/verifier.hpp"
 
+#include <algorithm>
+
 #include "bdd/bdd.hpp"
 #include "veridp/report_batch.hpp"
 
@@ -36,6 +38,49 @@ const PathTable* EpochTables::for_epoch(std::uint32_t e) const {
     if (ring[i].first_epoch <= e && e <= ring[i].last_epoch)
       return ring[i].table;
   return nullptr;
+}
+
+EpochTables EpochSnapshot::view() const {
+  // Checked builds abort here on use-after-retire / use-across-
+  // failsafe-flip (lockdep.hpp); release builds see gen 0 and pass.
+  lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
+  EpochTables t;
+  t.epoch_checking = epoch_checking;
+  t.epoch = epoch;
+  t.table_valid_from = table_valid_from;
+  t.table_valid_to = table_valid_to;
+  t.grace_window = grace_window;
+  t.current = current.get();
+  t.ring = ranges.data();
+  t.ring_size = ranges.size();
+  return t;
+}
+
+std::shared_ptr<const EpochSnapshot> next_snapshot(
+    const EpochSnapshot* prev, std::shared_ptr<const PathTable> table,
+    std::uint32_t epoch, std::uint32_t retire_below,
+    const EpochPolicy& policy) {
+  auto next = std::make_shared<EpochSnapshot>();
+  next->epoch = epoch;
+  next->table_valid_from = epoch;
+  next->table_valid_to = epoch;  // covers exactly what it was built from
+  next->grace_window = policy.grace_window;
+  next->epoch_checking = policy.checking;
+  next->current = std::move(table);
+  if (prev == nullptr) return next;
+  if (policy.checking && retire_below > prev->table_valid_from) {
+    next->retained.push_back(prev->current);
+    next->ranges.push_back(
+        {prev->table_valid_from, retire_below - 1, prev->current.get()});
+  }
+  for (std::size_t i = 0; i < prev->ranges.size(); ++i) {
+    next->retained.push_back(prev->retained[i]);
+    next->ranges.push_back(prev->ranges[i]);
+  }
+  const std::size_t keep = std::min(next->ranges.size(), policy.ring_capacity);
+  next->retained.resize(keep);
+  next->ranges.resize(keep);
+  return next;
 }
 
 Verdict verify_epoch_aware(const TagReport& report, const EpochTables& t) {

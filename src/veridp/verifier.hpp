@@ -20,8 +20,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/lockdep.hpp"
 #include "dataplane/packet.hpp"
 #include "veridp/path_table.hpp"
 
@@ -65,10 +67,10 @@ struct Verdict {
 
 /// A non-owning view of "which path table verifies which config epoch":
 /// the current table, the ring of retired tables (newest first) and the
-/// grace window. Both the sequential Server and the ParallelServer's
-/// published EpochSnapshot expose their state through this view and run
-/// reports through the single `verify_epoch_aware` below — which is what
-/// makes the two servers' verdicts bit-identical on the same input by
+/// grace window. Both servers' published EpochSnapshots expose their
+/// state through this view and run reports through the single
+/// `verify_epoch_aware` below — which is what makes the two servers'
+/// verdicts bit-identical on the same input by
 /// construction, not by parallel maintenance of two copies of the logic.
 struct EpochTables {
   struct Range {
@@ -97,6 +99,70 @@ struct EpochTables {
   /// The table covering epoch `e`, or nullptr if none is retained.
   [[nodiscard]] const PathTable* for_epoch(std::uint32_t e) const;
 };
+
+/// One published unit — the snapshot model of both servers: the current
+/// table, the retired ring and the epoch bookkeeping verify_epoch_aware
+/// needs. Never mutated after publication; destroyed when the last
+/// reader drops its shared_ptr. (The sequential Server's kIncremental
+/// mode is the one exception: its `current` aliases the updater's table,
+/// which rule events edit in place, so that server republishes a fresh
+/// snapshot after every edit and never lets another thread read it.)
+///
+/// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
+/// registers a lockdep lifecycle generation at construction; the
+/// failsafe watchdog retires the generation of the slot it abandons,
+/// and view() aborts on a retired or destroyed generation — the
+/// arena-generation trick of §8.3 applied to snapshots. The contract
+/// it enforces: a snapshot handle is used within one batch under a
+/// live shared_ptr pin and never across a failsafe flip.
+struct EpochSnapshot {
+  std::uint32_t epoch = 0;
+  std::uint32_t table_valid_from = 0;
+  /// Last epoch the snapshot's current table definitively covers —
+  /// the epoch at publication. Reports stamped beyond it (rule events
+  /// the publisher has not absorbed, e.g. while wedged in failsafe) fall
+  /// under verify_epoch_aware's ahead-of-table rule: pass-conclusive,
+  /// mismatch → kStaleEpoch, never a false positive.
+  std::uint32_t table_valid_to = UINT32_MAX;
+  std::uint32_t grace_window = 64;
+  bool epoch_checking = false;
+  std::shared_ptr<const PathTable> current;
+  /// Retired tables kept alive for the ring (newest first, parallel to
+  /// `ranges`).
+  std::vector<std::shared_ptr<const PathTable>> retained;
+  std::vector<EpochTables::Range> ranges;
+  /// Lifecycle generation: 0 in release builds (check() passes), a
+  /// fresh registry entry in checked builds. The field itself is
+  /// unconditional so checked and plain TUs agree on the layout.
+  std::uint64_t lifecycle_gen = lockdep::snapshot::register_gen();
+
+  EpochSnapshot() = default;
+  EpochSnapshot(const EpochSnapshot&) = delete;
+  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
+  ~EpochSnapshot() { lockdep::snapshot::unregister(lifecycle_gen); }
+
+  [[nodiscard]] EpochTables view() const;
+};
+
+/// Epoch-checking settings of a server (enable_epoch_checking).
+struct EpochPolicy {
+  bool checking = false;
+  std::size_t ring_capacity = 8;   ///< superseded tables retained
+  std::uint32_t grace_window = 64;
+};
+
+/// The one publication rule of both servers: `table`, current from
+/// `epoch` on, supersedes `prev` (null for the first snapshot). With
+/// epoch checking on and retire_below > prev->table_valid_from, prev's
+/// table is retired into the ring as [prev->table_valid_from,
+/// retire_below - 1] — reports sampled under those epochs are still in
+/// flight and must be judged against it; pass 0 to retire nothing (a
+/// table edited in place has no old version to keep). prev's ring
+/// follows, newest first, cut to policy.ring_capacity entries.
+[[nodiscard]] std::shared_ptr<const EpochSnapshot> next_snapshot(
+    const EpochSnapshot* prev, std::shared_ptr<const PathTable> table,
+    std::uint32_t epoch, std::uint32_t retire_below,
+    const EpochPolicy& policy);
 
 /// Epoch-aware Algorithm 3: selects the table by the report's epoch
 /// stamp (ring lookup, then the grace-window rule — a stale report may

@@ -19,6 +19,7 @@
 #include "dataplane/wire.hpp"
 #include "testutil.hpp"
 #include "veridp/channel.hpp"
+#include "veridp/control_loop.hpp"
 #include "veridp/ingest.hpp"
 #include "veridp/server.hpp"
 #include "veridp/workload.hpp"
@@ -194,9 +195,10 @@ TEST(Chaos, SwitchFaultDetectedAndLocalizedOverLossyChannel) {
   EXPECT_GT(blamed, 0u) << "localization should name edge_0_0";
 }
 
-// Overload end to end: a flood through a small ingest queue raises the
-// switches' sampling interval via the back-off signal; the report stream
-// thins instead of the queue growing without bound.
+// Overload end to end: a flood through a small ingest queue drives the
+// control loop, which raises the switches' sampling interval through
+// Network::command_sampling (§4.5); the report stream thins instead of
+// the queue growing without bound.
 TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
   Topology topo = linear(3);
   Controller c(topo);
@@ -210,10 +212,9 @@ TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
   icfg.capacity = 32;
   icfg.high_watermark = 16;
   ReportIngest ingest(server, icfg);
-  ingest.set_backoff_sink([&net](double factor) {
-    net.scale_sampling(factor);  // southbound delivered on first try
-    return true;
-  });
+  IngestGovernor governor(ingest);
+  governor.set_sampling_sink(
+      [&net](double factor) { net.command_sampling(factor); });
 
   const PacketHeader h =
       testutil::header(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 2, 1));
@@ -228,17 +229,21 @@ TEST(Chaos, OverloadTriggersSamplingBackoffEndToEnd) {
       if (backed_off) ++sampled_after;
       else ++sampled_before;
     }
-    if (!backed_off && ingest.health().backoff_acked > 0) backed_off = true;
     for (const TagReport& rep : r.reports)
       ingest.offer(wire::encode_report(rep));
+    // One control tick per 50 packets; nothing drains during the flood.
+    if (i % 50 == 49 && governor.tick().sampling_factor > 1.0)
+      backed_off = true;
   }
+  EXPECT_TRUE(backed_off);
+  EXPECT_GT(net.at(entry.sw).pipeline().sampler().default_interval(), 1.0)
+      << "the sampling interval was raised, not left at sample-all";
+  EXPECT_LE(ingest.queue_depth(), icfg.capacity);
   ingest.process();
 
   const IngestHealth health = ingest.health();
-  EXPECT_EQ(health.backoff_acked, 1u);
-  EXPECT_TRUE(backed_off);
-  EXPECT_LE(ingest.queue_depth(), icfg.capacity);
   EXPECT_GT(health.shed, 0u);
+  EXPECT_TRUE(health.conserved());
   EXPECT_EQ(health.accounted(), health.received);
   // After back-off the sampler keeps only one packet per interval: far
   // fewer samples than the packet count.

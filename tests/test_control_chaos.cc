@@ -281,7 +281,7 @@ TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
     EXPECT_EQ(passed, total) << "recovered table must verify the live "
                                 "config conclusively (mode "
                              << static_cast<int>(mode) << ")";
-    EXPECT_EQ(server.table_epoch(), c.epoch());
+    EXPECT_EQ(server.snapshot()->table_valid_from, c.epoch());
   }
 }
 

@@ -127,14 +127,17 @@ TEST(Incremental, SamePortRefinementTouchesNothing) {
 
 // The big property sweep: random update sequences on several topologies,
 // incremental table == rebuild after every step.
+// Both fields 8 bytes wide: no padding, so gtest's byte printout (and
+// the ctest name) is the same on every test discovery.
 struct SweepCase {
   std::uint64_t seed;
-  int topo_kind;  // 0 = linear(4), 1 = fat_tree(4), 2 = internet2_like(3)
+  // 0 = linear(4), 1 = fat_tree(4), 2 = internet2_like(3)
+  std::int64_t topo_kind;
 };
 
 class IncrementalSweep : public ::testing::TestWithParam<SweepCase> {
  protected:
-  static Topology make_topo(int kind) {
+  static Topology make_topo(std::int64_t kind) {
     switch (kind) {
       case 0: return linear(4);
       case 1: return fat_tree(4);

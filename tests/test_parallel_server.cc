@@ -160,6 +160,48 @@ TEST(ParallelServer, StreamTotalsMatchAcrossEpochRing) {
       << "the retired table must be in the published ring";
 }
 
+// One snapshot model: both servers publish through next_snapshot, so
+// the same add/delete/publish sequence leaves the same ring of epoch
+// ranges — also after the ring overflows its capacity of 2.
+TEST(ParallelServer, SnapshotRingMatchesTheSequentialServer) {
+  Rig rig(linear(4));
+  Server server(rig.controller, Server::Mode::kFullRebuild);
+  server.enable_epoch_checking(/*snapshot_ring=*/2, /*grace_window=*/64);
+  ParallelConfig cfg;
+  cfg.workers = 1;
+  ParallelServer parallel(rig.controller, cfg);
+  parallel.enable_epoch_checking(/*snapshot_ring=*/2, /*grace_window=*/64);
+  rig.install_and_deploy();
+  server.sync();
+  parallel.sync();
+
+  const auto ranges = [](const EpochSnapshot& snap) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+    for (const EpochTables::Range& r : snap.ranges)
+      out.emplace_back(r.first_epoch, r.last_epoch);
+    return out;
+  };
+  const auto& subnets = rig.topo.subnets();
+  ASSERT_GE(subnets.size(), 4u);
+  std::vector<std::pair<SwitchId, RuleId>> added;
+  for (std::size_t step = 0; step < 4; ++step) {
+    // Two events per publication: an add, then (from step 1) a delete.
+    const auto& [dst_port, subnet] = subnets[step];
+    added.emplace_back(dst_port.sw,
+                       rig.controller.add_rule(
+                           dst_port.sw, 7000 + static_cast<int>(step),
+                           Match::dst_prefix(subnet), Action::drop()));
+    if (step > 0)
+      rig.controller.delete_rule(added[step - 1].first,
+                                 added[step - 1].second);
+    (void)server.table();
+    parallel.publish();
+    EXPECT_EQ(ranges(*server.snapshot()), ranges(*parallel.snapshot()))
+        << "after publication " << step;
+  }
+  EXPECT_EQ(server.snapshot()->ranges.size(), 2u) << "the ring overflowed";
+}
+
 // The satellite stress test: N producer threads × M workers over a
 // chaos-channel stream (duplication, reordering, corruption, loss, plus
 // a real switch fault and config churn), asserting the merged verdict
@@ -252,7 +294,7 @@ TEST(ParallelServer, ChaosStreamProducersWorkersMatchSequentialOracle) {
   for (std::thread& t : producers) t.join();
   parallel.drain();
   parallel.stop();
-  const ParallelHealth par = parallel.health();
+  const IngestHealth par = parallel.health();
 
   EXPECT_EQ(par.received, seq.received);
   EXPECT_EQ(par.passed, seq.passed);
@@ -313,7 +355,7 @@ TEST(ParallelServer, StopStartSubmitLifecycleDrainsBothPhases) {
   for (const TagReport& r : phase1) ASSERT_TRUE(parallel.submit(r));
   parallel.drain();
   parallel.stop();
-  const ParallelHealth mid = parallel.health();
+  const IngestHealth mid = parallel.health();
   EXPECT_EQ(mid.received, phase1.size());
   EXPECT_TRUE(mid.conserved());
 
@@ -325,7 +367,7 @@ TEST(ParallelServer, StopStartSubmitLifecycleDrainsBothPhases) {
   parallel.drain();
   parallel.stop();
 
-  const ParallelHealth h = parallel.health();
+  const IngestHealth h = parallel.health();
   EXPECT_EQ(h.received, phase1.size() + phase2.size());
   EXPECT_EQ(h.verified, seq.verified) << "cumulative across the restart";
   EXPECT_EQ(h.passed, seq.passed);
@@ -374,7 +416,7 @@ TEST(ParallelServer, MemoHitsStayInsideTheVerifiedLedger) {
   parallel.drain();
   parallel.stop();
 
-  const ParallelHealth h = parallel.health();
+  const IngestHealth h = parallel.health();
   EXPECT_EQ(h.received, stream.size());
   EXPECT_EQ(h.verified, stream.size()) << "memo hits are verifications";
   EXPECT_EQ(h.passed, stream.size());
@@ -455,7 +497,7 @@ TEST(ParallelServer, SkewedLaneIsRebalancedByWorkStealing) {
   parallel.drain();
   parallel.stop();
 
-  const ParallelHealth h = parallel.health();
+  const IngestHealth h = parallel.health();
   const ScalTotals prof = parallel.profiler().totals();
   EXPECT_GT(prof.stolen_items, 0u)
       << "siblings must raid the deep lane, not idle";
@@ -521,7 +563,7 @@ TEST(ParallelServer, SnapshotSwapMidStreamKeepsVerdictsConsistent) {
   parallel.drain();
   parallel.stop();
 
-  const ParallelHealth h = parallel.health();
+  const IngestHealth h = parallel.health();
   EXPECT_EQ(h.received, submitted.load());
   EXPECT_EQ(h.failed, 0u) << "swaps must never surface as inconsistency";
   EXPECT_EQ(h.stale, 0u) << "every old epoch is covered by the ring";
@@ -555,7 +597,7 @@ TEST(ParallelServer, MismatchesFeedSingleConsumerLocalizationStage) {
   parallel.drain();
   parallel.stop();
 
-  const ParallelHealth h = parallel.health();
+  const IngestHealth h = parallel.health();
   ASSERT_GT(h.failed, 0u);
   const std::vector<TagReport> failures = parallel.take_failures();
   EXPECT_EQ(failures.size(), static_cast<std::size_t>(h.failed))
@@ -663,7 +705,7 @@ TEST(ParallelServer, GovernedRegimesOnTheParallelIngest) {
   parallel.govern(AdmissionRegime::kHard, 64);
   for (const TagReport& r : stamped(1000)) EXPECT_FALSE(parallel.submit(r));
   parallel.drain();
-  ParallelHealth h = parallel.health();
+  IngestHealth h = parallel.health();
   EXPECT_EQ(h.verified, 0u);
   EXPECT_EQ(h.shed, base.size());
   EXPECT_EQ(h.regime, AdmissionRegime::kHard);

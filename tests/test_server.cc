@@ -219,7 +219,7 @@ TEST(Server, StatsRebuildInterleavesWithEpochVerification) {
   c.deploy(net);
   net.set_config_epoch(c.epoch());
   (void)server.stats();
-  EXPECT_EQ(server.snapshots(), 1u)
+  EXPECT_EQ(server.snapshot()->ranges.size(), 1u)
       << "the stats() rebuild must retire the old table into the ring";
 
   // The pre-update report still verifies OK against its epoch's table,

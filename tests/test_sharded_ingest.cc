@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "controller/routing.hpp"
 #include "testutil.hpp"
+#include "veridp/ingest.hpp"
 #include "veridp/parallel_server.hpp"
 #include "veridp/seq_tracker.hpp"
 #include "veridp/workload.hpp"
@@ -100,7 +103,7 @@ TEST(ShardedIngest, DedupAcrossProducerThreadsIsExact) {
   ps.drain();
   ps.stop();
 
-  const ParallelHealth h = ps.health();
+  const IngestHealth h = ps.health();
   EXPECT_EQ(h.received, 2ull * kSeqs);
   EXPECT_EQ(h.deduped, static_cast<std::uint64_t>(kSeqs))
       << "exactly one copy of each seq survives, never zero, never two";
@@ -142,7 +145,7 @@ TEST(ShardedIngest, LossEstimateMatchesSequentialTrackerOracle) {
   ps.drain();
   ps.stop();
 
-  const ParallelHealth h = ps.health();
+  const IngestHealth h = ps.health();
   EXPECT_EQ(h.received, seqs.size());
   EXPECT_EQ(h.deduped, 0u) << "gaps must not be mistaken for duplicates";
   EXPECT_EQ(h.lost_estimate, oracle.lost_estimate());
@@ -177,7 +180,7 @@ TEST(ShardedIngest, PerSwitchSequenceSpacesAreIndependent) {
   fan_out(ps, stream, /*producers=*/4);
   ps.drain();
 
-  ParallelHealth h = ps.health();
+  IngestHealth h = ps.health();
   EXPECT_EQ(h.received, per_switch.size() * kSeqs);
   EXPECT_EQ(h.deduped, 0u)
       << "switch A's seq 7 is not a duplicate of switch B's seq 7";
@@ -227,7 +230,7 @@ TEST(ShardedIngest, SheddingUnderOverloadStillConserves) {
   ps.drain();
   ps.stop();
 
-  const ParallelHealth h = ps.health();
+  const IngestHealth h = ps.health();
   EXPECT_EQ(h.received, static_cast<std::uint64_t>(kFlood));
   EXPECT_GT(h.shed, 0u);
   EXPECT_GT(h.passed, 0u) << "shedding thins the stream, never kills it";
@@ -236,6 +239,74 @@ TEST(ShardedIngest, SheddingUnderOverloadStillConserves) {
   EXPECT_EQ(h.accounted(), h.received)
       << "every flooded report lands in exactly one bucket";
   EXPECT_EQ(h.verified + h.shed + h.deduped + h.quarantined, h.received);
+}
+
+// Admission parity: a fresh ReportIngest and an unstarted 1-lane
+// ParallelServer with equal bounds (capacity 16, watermark 8, modulus
+// 4), fed seqs 1..n of one switch. Returns the seqs each admitted.
+struct Admitted {
+  std::vector<std::uint32_t> ingest, parallel;
+};
+
+Admitted admit_both(Rig& rig, std::optional<AdmissionRegime> regime,
+                    std::uint32_t govern_modulus, std::uint32_t n) {
+  Server server(rig.controller, Server::Mode::kFullRebuild);
+  IngestConfig icfg;
+  icfg.capacity = 16;
+  icfg.high_watermark = 8;
+  icfg.shed_modulus = 4;
+  ReportIngest ingest(server, icfg);
+  ParallelConfig pcfg;
+  pcfg.workers = 1;
+  pcfg.queue_capacity = 16;
+  pcfg.high_watermark = 8;
+  pcfg.shed_modulus = 4;
+  ParallelServer ps(rig.controller, pcfg);
+  if (regime) {
+    ingest.govern(*regime, govern_modulus);
+    ps.govern(*regime, govern_modulus);
+  }
+  rig.deploy();
+  TagReport r = rig.one_report_per_switch().front();
+  Admitted out;
+  for (r.seq = 1; r.seq <= n; ++r.seq) {
+    if (ingest.offer_report(r)) out.ingest.push_back(r.seq);
+    if (ps.submit(r)) out.parallel.push_back(r.seq);
+  }
+  return out;
+}
+
+TEST(ShardedIngest, GovernWithZeroModulusKeepsTheConfiguredModulus) {
+  Rig rig(linear(3));
+  const Admitted a = admit_both(rig, AdmissionRegime::kSoft, 0, 16);
+  EXPECT_EQ(a.ingest, (std::vector<std::uint32_t>{4, 8, 12, 16}));
+  EXPECT_EQ(a.parallel, a.ingest)
+      << "kSoft with modulus 0 keeps 1 in 4 on both servers";
+}
+
+TEST(ShardedIngest, AdmissionMatchesTheSequentialIngest) {
+  Rig rig(linear(3));
+  const std::optional<AdmissionRegime> regimes[] = {
+      std::nullopt, AdmissionRegime::kNormal, AdmissionRegime::kSoft,
+      AdmissionRegime::kHard};
+  for (const auto& regime : regimes) {
+    const Admitted a = admit_both(rig, regime, 4, 40);
+    EXPECT_EQ(a.parallel, a.ingest)
+        << "regime " << (regime ? to_string(*regime) : "ungoverned");
+    EXPECT_LT(a.ingest.size(), 40u) << "every case sheds something";
+  }
+}
+
+// The lane split may not round a lane up to one report: with 8 lanes a
+// queue_capacity of 4 would queue 8.
+TEST(ShardedIngest, CapacityBelowTheLaneCountIsRejected) {
+  Rig rig(linear(3));
+  ParallelConfig cfg;
+  cfg.workers = 8;
+  cfg.queue_capacity = 4;
+  EXPECT_THROW(ParallelServer(rig.controller, cfg), std::invalid_argument);
+  cfg.queue_capacity = 8;
+  EXPECT_NO_THROW(ParallelServer(rig.controller, cfg));
 }
 
 }  // namespace

@@ -96,17 +96,19 @@ TEST(Transfer, ActiveOutPorts) {
 
 // ---- The partition/agreement property -------------------------------------
 
+// Both fields 8 bytes wide: no padding, so gtest's byte printout (and
+// the ctest name) is the same on every test discovery.
 struct AgreementCase {
   std::uint64_t seed;
-  int num_rules;
+  std::int64_t num_rules;
 };
 
 class TransferAgreement : public ::testing::TestWithParam<AgreementCase> {
  protected:
   // Builds a random switch config over 4 ports.
-  SwitchConfig random_config(Rng& rng, int num_rules) {
+  SwitchConfig random_config(Rng& rng, std::int64_t num_rules) {
     SwitchConfig cfg;
-    for (int i = 0; i < num_rules; ++i) {
+    for (std::int64_t i = 0; i < num_rules; ++i) {
       Match m;
       m.dst = Prefix{Ipv4::of(10, static_cast<std::uint8_t>(rng.uniform(0, 3)),
                               static_cast<std::uint8_t>(rng.uniform(0, 3)), 0),

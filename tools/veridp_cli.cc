@@ -236,6 +236,7 @@ int cmd_monitor(Topology topo, const std::string& fault_kind,
 // Chaos experiment: the full resilient report path (wire v2 → lossy
 // channel → overload-aware ingest → epoch-aware server) under continuous
 // rule updates, optionally with a real switch fault injected halfway.
+// One control tick per round lets the governor slow sampling (§4.5).
 int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
               std::size_t updates_per_round, std::uint64_t seed,
               const char* fault_kind) {
@@ -250,10 +251,9 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
 
   ReportChannel channel(ccfg);
   ReportIngest ingest(server);
-  ingest.set_backoff_sink([&net](double factor) {
-    net.scale_sampling(factor);
-    return true;
-  });
+  IngestGovernor governor(ingest);
+  governor.set_sampling_sink(
+      [&net](double factor) { net.command_sampling(factor); });
 
   Rng rng(seed);
   FaultInjector inject(net);
@@ -301,6 +301,7 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
       while (auto d = channel.deliver()) ingest.offer(*d);
     }
     ingest.process();
+    governor.tick(server.in_failsafe());
     if (updates_per_round > 0) {
       // Config churn: blackhole the next few hosts at their edge switches
       // (works on every topology, including /32-subnet fat trees where
@@ -346,12 +347,11 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
               static_cast<unsigned long long>(h.shed),
               static_cast<unsigned long long>(h.quarantined),
               static_cast<unsigned long long>(h.deduped));
-  std::printf("ingest:  lost-estimate %llu backoff signals %llu acked %llu\n",
+  std::printf("ingest:  lost-estimate %llu regime %s sampling factor %.2f\n",
               static_cast<unsigned long long>(h.lost_estimate),
-              static_cast<unsigned long long>(h.backoff_signals),
-              static_cast<unsigned long long>(h.backoff_acked));
+              to_string(h.regime), governor.loop().sampling_factor());
   std::printf("server:  epoch %u snapshots %zu verified %llu\n",
-              server.epoch(), server.snapshots(),
+              server.epoch(), server.snapshot()->ranges.size(),
               static_cast<unsigned long long>(server.reports_verified()));
   const bool balanced = h.accounted() == h.received;
   std::printf("conservation: %s\n", balanced ? "ok" : "VIOLATED");
@@ -471,7 +471,7 @@ int cmd_parallel(Topology topo, const ChannelConfig& ccfg, int rounds,
   for (std::thread& t : pool) t.join();
   parallel.drain();
   parallel.stop();
-  const ParallelHealth ph = parallel.health();
+  const IngestHealth ph = parallel.health();
 
   std::printf("%-12s %10s %10s\n", "", "sequential", "parallel");
   bool match = true;
