@@ -2,13 +2,10 @@
 // verification is still single-threaded without optimization, we expect
 // a higher throughput with multi-threading in the future."
 //
-// Three measurements per thread count over the Stanford-like table:
+// Two measurements per thread count over the Stanford-like table:
 //
 //   * raw      — verify_report on every worker over a shared
 //                const table: the scaling ceiling of the read path;
-//   * stream   — ParallelServer::verify_stream (chunked fan-out over a
-//                pre-collected vector) — kept for continuity with the
-//                pre-lane trajectory points;
 //   * pipeline — the production path: reports submitted through the
 //                shard-affine lanes, then start()→drain() timed. Lanes
 //                are pre-filled BEFORE the pool starts so the number is
@@ -70,8 +67,6 @@ struct Point {
   unsigned threads = 0;
   double raw_rate = 0.0;
   double raw_speedup = 0.0;
-  double stream_rate = 0.0;
-  double stream_speedup = 0.0;
   double pipe_rate = 0.0;
   double pipe_speedup = 0.0;
   double projected_speedup = 0.0;
@@ -99,20 +94,6 @@ double measure_raw(const PathTable& table,
   const double dt = std::chrono::duration<double>(t1 - t0).count();
   if (any_failure) std::printf("  (UNEXPECTED verification failure!)\n");
   return static_cast<double>(verified.load()) / dt;
-}
-
-double measure_stream(ParallelServer& ps, const std::vector<TagReport>& stream,
-                      unsigned n) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const ParallelServer::StreamTotals totals = ps.verify_stream(stream, n);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double dt = std::chrono::duration<double>(t1 - t0).count();
-  if (totals.passed != totals.verified)
-    std::printf("  (UNEXPECTED: %llu of %llu reports did not pass!)\n",
-                static_cast<unsigned long long>(totals.verified -
-                                                totals.passed),
-                static_cast<unsigned long long>(totals.verified));
-  return static_cast<double>(totals.verified) / dt;
 }
 
 /// The production pipeline, producer interference excluded: pre-fill
@@ -233,12 +214,14 @@ void write_json(const Setup& s, std::size_t reports, unsigned hw,
       "speedup on multi-core hosts (tools/check_scaling.py).\",\n",
       s.name.c_str(), reports, rounds(), quick() ? "true" : "false", hw);
   // The pre-lane trajectory (EXPERIMENTS.md §6.4): single BoundedMpmcQueue
-  // funnel, verify_stream rates on the same single-core container.
+  // funnel, rates of the chunked fan-out ("stream") path on the same
+  // single-core container; then the last run of the stream column before
+  // that path was deleted (same container, full sweep).
   std::fprintf(
       f,
       "  \"previous\": [\n"
       "    {\"label\": \"2026-08-05 single-queue funnel\", \"metric\": "
-      "\"verify_stream\", \"points\": [\n"
+      "\"stream\", \"points\": [\n"
       "      {\"threads\": 1, \"server_reports_per_s\": 1160000, "
       "\"server_speedup\": 1.00},\n"
       "      {\"threads\": 2, \"server_reports_per_s\": 1310000, "
@@ -248,7 +231,7 @@ void write_json(const Setup& s, std::size_t reports, unsigned hw,
       "      {\"threads\": 8, \"server_reports_per_s\": 1380000, "
       "\"server_speedup\": 1.19}]},\n"
       "    {\"label\": \"2026-08-05 post-bdd-rewrite funnel\", \"metric\": "
-      "\"verify_stream\", \"points\": [\n"
+      "\"stream\", \"points\": [\n"
       "      {\"threads\": 1, \"server_reports_per_s\": 1530000, "
       "\"server_speedup\": 1.00},\n"
       "      {\"threads\": 2, \"server_reports_per_s\": 1650000, "
@@ -256,7 +239,27 @@ void write_json(const Setup& s, std::size_t reports, unsigned hw,
       "      {\"threads\": 4, \"server_reports_per_s\": 1450000, "
       "\"server_speedup\": 0.95},\n"
       "      {\"threads\": 8, \"server_reports_per_s\": 1550000, "
-      "\"server_speedup\": 1.01}]}\n"
+      "\"server_speedup\": 1.01}]},\n"
+      "    {\"label\": \"stream column, deleted: the lanes are the one "
+      "verify path\", \"metric\": \"stream\", \"streams\": [\n"
+      "      {\"name\": \"uniform_memo_miss\", \"points\": [\n"
+      "        {\"threads\": 1, \"stream_reports_per_s\": 2030762, "
+      "\"stream_speedup\": 1.000},\n"
+      "        {\"threads\": 2, \"stream_reports_per_s\": 2359927, "
+      "\"stream_speedup\": 1.162},\n"
+      "        {\"threads\": 4, \"stream_reports_per_s\": 2247386, "
+      "\"stream_speedup\": 1.107},\n"
+      "        {\"threads\": 8, \"stream_reports_per_s\": 2474154, "
+      "\"stream_speedup\": 1.218}]},\n"
+      "      {\"name\": \"zipf_skewed\", \"points\": [\n"
+      "        {\"threads\": 1, \"stream_reports_per_s\": 2227526, "
+      "\"stream_speedup\": 1.000},\n"
+      "        {\"threads\": 2, \"stream_reports_per_s\": 2026168, "
+      "\"stream_speedup\": 0.910},\n"
+      "        {\"threads\": 4, \"stream_reports_per_s\": 2018919, "
+      "\"stream_speedup\": 0.906},\n"
+      "        {\"threads\": 8, \"stream_reports_per_s\": 1907826, "
+      "\"stream_speedup\": 0.856}]}]}\n"
       "  ],\n"
       "  \"streams\": [\n");
   for (std::size_t si = 0; si < streams.size(); ++si) {
@@ -271,15 +274,13 @@ void write_json(const Setup& s, std::size_t reports, unsigned hw,
           f,
           "      {\"threads\": %u,\n"
           "       \"raw_reports_per_s\": %.0f, \"raw_speedup\": %.3f,\n"
-          "       \"stream_reports_per_s\": %.0f, \"stream_speedup\": "
-          "%.3f,\n"
           "       \"pipeline_reports_per_s\": %.0f, "
           "\"pipeline_wall_speedup\": %.3f,\n"
           "       \"projected_speedup\": %.3f, \"max_worker_cpu_ns\": "
           "%llu,\n"
           "       \"profile\": %s}%s\n",
-          p.threads, p.raw_rate, p.raw_speedup, p.stream_rate,
-          p.stream_speedup, p.pipe_rate, p.pipe_speedup, p.projected_speedup,
+          p.threads, p.raw_rate, p.raw_speedup, p.pipe_rate, p.pipe_speedup,
+          p.projected_speedup,
           static_cast<unsigned long long>(p.max_worker_cpu_ns),
           p.prof_json.c_str(), i + 1 < sr.points.size() ? "," : "");
     }
@@ -319,7 +320,7 @@ int main() {
     StreamResult sr;
     sr.name = stream_name;
     std::printf("--- stream: %s ---\n", stream_name);
-    std::printf("threads   raw rep/s   stream rep/s   pipeline rep/s   "
+    std::printf("threads   raw rep/s   pipeline rep/s   "
                 "wall-x   proj-x   stolen   wait%%\n");
     for (unsigned n : sweep()) {
       Point p;
@@ -331,26 +332,23 @@ int main() {
       ParallelConfig cfg;
       cfg.workers = n;
       cfg.queue_capacity = stream.size() * 2 * n;
-      cfg.high_watermark = cfg.queue_capacity;
+      cfg.high_watermark = cfg.queue_capacity - 1;
       ParallelServer ps(s.controller, cfg, kTagBits);
       ps.sync();
 
       if (is_uniform) p.raw_rate = measure_raw(table, stream, n);
-      p.stream_rate = measure_stream(ps, stream, n);
       measure_pipeline(ps, stream, n, p);
 
       const Point* base = sr.points.empty() ? &p : &sr.points.front();
       p.raw_speedup = base->raw_rate > 0 ? p.raw_rate / base->raw_rate : 1.0;
-      p.stream_speedup = p.stream_rate / base->stream_rate;
       p.pipe_speedup = p.pipe_rate / base->pipe_rate;
       p.projected_speedup =
           p.max_worker_cpu_ns
               ? static_cast<double>(base->max_worker_cpu_ns) /
                     static_cast<double>(p.max_worker_cpu_ns)
               : 0.0;
-      std::printf("%7u   %9.0f   %12.0f   %14.0f   %5.2fx   %5.2fx   %6llu"
-                  "   %4.1f\n",
-                  n, p.raw_rate, p.stream_rate, p.pipe_rate, p.pipe_speedup,
+      std::printf("%7u   %9.0f   %14.0f   %5.2fx   %5.2fx   %6llu   %4.1f\n",
+                  n, p.raw_rate, p.pipe_rate, p.pipe_speedup,
                   p.projected_speedup,
                   static_cast<unsigned long long>(p.prof.stolen_items),
                   100.0 * p.prof.wait_fraction());

@@ -29,12 +29,13 @@
 //
 // Snapshot-lifecycle half (the PR 5 arena-generation trick, extended
 // from BddRefs to EpochSnapshots): every EpochSnapshot registers a
-// monotonically increasing lifecycle generation at construction. The
-// parallel server's failsafe watchdog *retires* the generation of the
-// slot it abandons; using a retired snapshot (EpochSnapshot::view())
-// aborts with the retire reason — catching use-across-failsafe-flip
-// and use-after-retire instead of letting the stale table answer one
-// more probe.
+// monotonically increasing lifecycle generation at construction and
+// unregisters it at destruction; an owner may also *retire* a
+// generation it must never serve again (no server does today: the one
+// failsafe keeps serving the last published snapshot). Using a retired
+// or destroyed snapshot (EpochSnapshot::view()) aborts with the reason —
+// catching use-after-retire and dangling handles instead of letting a
+// stale table answer one more probe.
 //
 // Everything here is compiled away unless VERIDP_LOCKDEP is defined
 // (the `lockdep` CMake preset / -DVERIDP_LOCKDEP=ON): in release
@@ -102,8 +103,7 @@ namespace snapshot {
 /// Registers a new snapshot lifecycle handle; returns its generation.
 std::uint64_t register_gen();
 
-/// Marks `gen` retired with a human-readable reason (e.g.
-/// "failsafe-flip"). Idempotent; retiring generation 0 is a no-op so
+/// Marks `gen` retired with a human-readable reason. Idempotent; retiring generation 0 is a no-op so
 /// release-built objects (which carry gen 0) interoperate.
 void retire(std::uint64_t gen, const char* why);
 

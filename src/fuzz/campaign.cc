@@ -161,6 +161,11 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
   server.enable_epoch_checking(/*snapshot_ring=*/32, /*grace_window=*/64);
   ParallelConfig pcfg;
   pcfg.workers = knobs_.parallel_workers;
+  // The oracle queues the whole verified stream before the pool starts,
+  // so no lane may ever fill. Lanes are deques: an unreachable bound
+  // allocates nothing up front.
+  pcfg.queue_capacity = SIZE_MAX;
+  pcfg.high_watermark = SIZE_MAX - 1;
   ParallelServer parallel(c, pcfg);
   parallel.enable_epoch_checking(/*snapshot_ring=*/32, /*grace_window=*/64);
 
@@ -666,10 +671,21 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
         << " false_positives=" << result.false_positives << "\n";
 
   // ---- Sequential/parallel oracle equality -------------------------------
+  // The verified stream runs through the lanes of the stopped server.
+  // Its copies carry seq 0: seq never reaches a verdict or the memo key,
+  // and seq 0 skips dedup, so every report must be verified — a shed or
+  // deduped one is a mismatch, not a silent drop.
   if (knobs_.check_parallel) {
-    const ParallelServer::StreamTotals t =
-        parallel.verify_stream(verified_stream, knobs_.parallel_workers);
-    result.parallel_match = t.verified == verified_stream.size() &&
+    parallel.publish();
+    for (TagReport r : verified_stream) {
+      r.seq = 0;
+      parallel.submit(r);
+    }
+    parallel.start();
+    parallel.drain();
+    const IngestHealth t = parallel.health();
+    result.parallel_match = t.shed == 0 && t.deduped == 0 &&
+                            t.verified == verified_stream.size() &&
                             t.passed == tally_passed &&
                             t.failed == tally_failed &&
                             t.stale == tally_stale;

@@ -26,9 +26,10 @@
 //                      violation; the campaign requires zero.
 //   * conservation   — IngestHealth::conserved() after every offer and
 //                      tick (the chaos-harness invariant).
-//   * oracle equality— the exact verified report stream re-verified by
-//                      ParallelServer::verify_stream must produce
-//                      bit-identical verdict totals.
+//   * oracle equality— the exact verified report stream re-verified
+//                      through ParallelServer's lanes must produce
+//                      bit-identical verdict totals, none shed or
+//                      deduped.
 //
 // Effectful vs inert: a scheduled mutation can be semantically inert
 // (dropping a shadowed rule, removing a redundant ACL entry). The
@@ -60,7 +61,7 @@ namespace fuzz {
 struct CampaignKnobs {
   std::size_t ingest_capacity = 256;
   std::size_t ingest_watermark = 128;
-  bool check_parallel = true;   ///< run the verify_stream equality oracle
+  bool check_parallel = true;   ///< run the lane equality oracle
   unsigned parallel_workers = 2;
   int localize_budget = 4;      ///< failures localized per run (cold path)
   /// IngestConfig::batch_size for the run's ingest (0 autotune, 1 the
@@ -101,7 +102,7 @@ struct RunResult {
   std::uint64_t failed_verdicts = 0;
   std::uint64_t false_positives = 0;  ///< failures with no effectful fault
   bool conserved = true;
-  bool parallel_match = true;   ///< verify_stream totals == sequential tally
+  bool parallel_match = true;   ///< lane totals == sequential tally
 
   // Coverage observations (kSaw* bits above).
   std::uint8_t verdict_kinds_seen = 0;

@@ -27,13 +27,14 @@
 //
 // An ungoverned ingest runs the same ladder off its fixed high
 // watermark (watermark_regime). Both servers — ReportIngest::admit and
-// ParallelServer::submit — decide through the one `admits` function
-// below and keep their books in the one IngestHealth ledger, so the two
-// cannot drift apart.
+// ParallelServer::submit — accept the same bounds (validate_admission),
+// decide through the one `admits` function below and keep their books
+// in the one IngestHealth ledger, so the two cannot drift apart.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 namespace veridp {
 
@@ -91,6 +92,25 @@ enum class AdmissionPolicy : std::uint8_t {
   return depth < capacity;
 }
 
+/// Both servers' constructors run their admission bounds through this
+/// check, so they accept exactly the same configs. Throws
+/// std::invalid_argument on bounds that silently misbehave: capacity ==
+/// 0 (nothing can ever be queued), high_watermark >= capacity (shedding
+/// could not engage before the hard bound) and shed_modulus == 0 (seq %
+/// 0 is UB).
+inline void validate_admission(std::size_t capacity,
+                               std::size_t high_watermark,
+                               std::uint32_t shed_modulus) {
+  if (capacity == 0)
+    throw std::invalid_argument("admission: capacity must be positive");
+  if (high_watermark >= capacity)
+    throw std::invalid_argument(
+        "admission: high_watermark must be below capacity (shedding must "
+        "engage before the hard bound)");
+  if (shed_modulus == 0)
+    throw std::invalid_argument("admission: shed_modulus must be non-zero");
+}
+
 [[nodiscard]] constexpr const char* to_string(AdmissionRegime r) {
   switch (r) {
     case AdmissionRegime::kSoft:
@@ -137,7 +157,7 @@ struct IngestHealth {
   AdmissionRegime regime = AdmissionRegime::kNormal;  ///< commanded regime
   std::uint64_t regime_transitions = 0;  ///< edge-triggered changes applied
   std::uint64_t failsafe_events = 0;     ///< publisher failsafes (loud)
-  std::uint64_t snapshot_flips = 0;  ///< ParallelServer A/B publications
+  std::uint64_t snapshot_flips = 0;  ///< ParallelServer snapshot publications
 
   /// Everything that reached a terminal bucket.
   [[nodiscard]] std::uint64_t accounted() const {

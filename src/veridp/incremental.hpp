@@ -75,7 +75,7 @@ class IncrementalUpdater {
   UpdateStats apply(const RuleEvent& ev);
 
   /// Replays a deferred event sequence in order, summing the stats.
-  /// Used by the A/B failsafe recovery path: events queued while the
+  /// Used by the failsafe recovery path: events queued while the
   /// publisher was wedged are applied as one batch once it recovers.
   UpdateStats apply_batch(const std::vector<RuleEvent>& events);
 

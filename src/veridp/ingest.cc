@@ -1,29 +1,10 @@
 #include "veridp/ingest.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "dataplane/wire.hpp"
 
 namespace veridp {
-
-namespace {
-
-void require(bool ok, const char* what) {
-  if (!ok)
-    throw std::invalid_argument(std::string("IngestConfig: ") + what);
-}
-
-}  // namespace
-
-void IngestConfig::validate() const {
-  require(capacity > 0, "capacity must be positive");
-  require(high_watermark < capacity,
-          "high_watermark must be below capacity (shedding must engage "
-          "before the hard bound)");
-  require(shed_modulus != 0, "shed_modulus must be non-zero");
-}
 
 ReportIngest::ReportIngest(Server& server, IngestConfig cfg)
     : server_(&server), cfg_(cfg) {
@@ -59,7 +40,7 @@ bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
   if (!report) {
     ++health_.quarantined;
     quarantine_.push_back(datagram);
-    if (quarantine_.size() > cfg_.quarantine_keep) quarantine_.pop_front();
+    if (quarantine_.size() > kQuarantineKeep) quarantine_.pop_front();
     return false;
   }
 

@@ -50,7 +50,6 @@ struct IngestConfig {
   std::size_t high_watermark = 768;   ///< shedding starts above this
   std::uint32_t shed_modulus = 4;     ///< keep seq % modulus == 0 when shedding
   std::size_t dedup_window = 4096;    ///< remembered seqs per switch
-  std::size_t quarantine_keep = 16;   ///< malformed payloads retained
   std::size_t failure_keep = 32;      ///< failed reports retained
   /// Lanes per verify_epoch_aware_batch call in process(): 0 autotunes
   /// (autotuned_batch_size()), 1 forces the pre-batching scalar path
@@ -59,16 +58,18 @@ struct IngestConfig {
   /// identical across settings; only throughput differs.
   std::size_t batch_size = 0;
 
-  /// Throws std::invalid_argument on a config that silently misbehaves:
-  /// capacity == 0 (nothing can ever be queued), high_watermark >=
-  /// capacity (shedding could not engage before the hard bound) and
-  /// shed_modulus == 0 (seq % 0 is UB). ReportIngest validates at
-  /// construction.
-  void validate() const;
+  /// validate_admission over this config's bounds (admission.hpp):
+  /// throws std::invalid_argument on a config that silently misbehaves.
+  /// ReportIngest validates at construction.
+  void validate() const {
+    validate_admission(capacity, high_watermark, shed_modulus);
+  }
 };
 
 class ReportIngest {
  public:
+  static constexpr std::size_t kQuarantineKeep = 16;
+
   /// The server must outlive the ingest. Throws std::invalid_argument
   /// if `cfg` fails IngestConfig::validate().
   explicit ReportIngest(Server& server, IngestConfig cfg = {});
@@ -76,7 +77,7 @@ class ReportIngest {
   /// Observation tap: invoked for every report process() verifies, with
   /// the verdict it received, in verification order. The fuzz oracle
   /// uses it to capture the exact verified stream for time-to-detection
-  /// scoring and for the parallel verify_stream equality check; pass an
+  /// scoring and for the sequential/parallel equality check; pass an
   /// empty function to detach. Must not re-enter the ingest.
   void set_verdict_sink(
       std::function<void(const TagReport&, const Verdict&)> sink) {
@@ -118,7 +119,7 @@ class ReportIngest {
   /// Health counters with the loss estimate refreshed.
   [[nodiscard]] IngestHealth health() const;
 
-  /// Most recent malformed payloads (bounded by quarantine_keep).
+  /// The kQuarantineKeep most recent malformed payloads.
   [[nodiscard]] const std::deque<std::vector<std::uint8_t>>& quarantine()
       const {
     return quarantine_;

@@ -1,6 +1,5 @@
 #include "veridp/parallel_server.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -30,6 +29,10 @@ inline T read_relaxed(const std::atomic<T>& c) {
   return c.load(std::memory_order_relaxed);
 }
 
+/// A worker with nothing to do anywhere parks on its own lane this long
+/// before rescanning its siblings for work to steal.
+constexpr std::chrono::microseconds kIdleBackoff{200};
+
 }  // namespace
 
 ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
@@ -42,6 +45,8 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
                         : (std::thread::hardware_concurrency()
                                ? std::thread::hardware_concurrency()
                                : 1)) {
+  validate_admission(cfg_.queue_capacity, cfg_.high_watermark,
+                     cfg_.shed_modulus);
   // One lane per worker; the global bounds split evenly so total queued
   // work stays capped at queue_capacity whatever the lane count.
   const std::size_t nlanes = worker_count();
@@ -49,13 +54,8 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
     throw std::invalid_argument(
         "ParallelConfig: queue_capacity must be at least the worker count "
         "(each lane needs room for one report)");
-  if (cfg_.high_watermark > cfg_.queue_capacity)
-    cfg_.high_watermark = cfg_.queue_capacity;
-  if (cfg_.shed_modulus == 0) cfg_.shed_modulus = 1;
   shed_modulus_.store(cfg_.shed_modulus);
   cfg_.batch_size = resolve_batch_size(cfg_.batch_size);
-  if (cfg_.steal_threshold == 0) cfg_.steal_threshold = 1;
-  shards_ = cfg_.shards ? cfg_.shards : 1;
   lane_capacity_ = cfg_.queue_capacity / nlanes;
   lane_watermark_ = cfg_.high_watermark / nlanes;  // <= lane_capacity_
   lanes_.reserve(nlanes);
@@ -101,16 +101,8 @@ void ParallelServer::rebuild_snapshot() {
   const std::shared_ptr<const EpochSnapshot> next = next_snapshot(
       prev.get(), std::move(table), epoch_, dirty_ ? dirty_from_ : 0, epochs_);
 
-  // A/B flip: the finished unit lands in the inactive slot, then one
-  // atomic store makes it the served snapshot. A successful publish
-  // always clears any standing failsafe.
-  slots_[1 - active_slot_] = next;
-  active_slot_ = 1 - active_slot_;
   snap_.store(next, std::memory_order_release);  // the publication point
   dirty_ = false;
-  missed_heartbeats_ = 0;
-  // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-  in_failsafe_.store(false, std::memory_order_relaxed);
   bump_relaxed(published_);
 }
 
@@ -121,53 +113,23 @@ void ParallelServer::sync() {
 }
 
 void ParallelServer::publish() {
-  if (!synced_) {
-    sync();
+  if (!synced_) sync();
+  if (!dirty_) return;
+  if (publisher_wedged()) {
+    // Failsafe (Server::ensure_fresh's rule): keep serving the last
+    // published snapshot. Its table_valid_to predates the pending
+    // events, so the ahead-of-table rule turns would-be false positives
+    // into kStaleEpoch.
+    if (!read_relaxed(in_failsafe_)) {
+      // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
+      in_failsafe_.store(true, std::memory_order_relaxed);
+      bump_relaxed(failsafe_events_);
+    }
     return;
   }
-  if (dirty_ && !publisher_wedged()) rebuild_snapshot();
-}
-
-bool ParallelServer::heartbeat(std::uint64_t deadline_ticks) {
-  if (!synced_) {
-    sync();
-    return false;
-  }
-  if (!dirty_) {
-    // Nothing pending: the active slot is definitionally good.
-    missed_heartbeats_ = 0;
-    // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-    in_failsafe_.store(false, std::memory_order_relaxed);
-    return false;
-  }
-  if (!publisher_wedged()) {
-    rebuild_snapshot();  // flips, clears missed/failsafe
-    return false;
-  }
-  ++missed_heartbeats_;
-  // veridp-lint: allow(relaxed-atomic, control-thread self-read of its own flag)
-  if (missed_heartbeats_ >= deadline_ticks &&
-      !in_failsafe_.load(std::memory_order_relaxed)) {
-    // Watchdog: the publisher missed its deadline with events pending.
-    // Drop whatever the wedged build left in the inactive slot and
-    // re-assert the last-good active slot as the served snapshot. Its
-    // table_valid_to predates the pending events, so every report
-    // stamped after the wedge degrades to pass-conclusive /
-    // kStaleEpoch — inconclusive, never a false positive. The dropped
-    // slot's lifecycle generation is retired first: it never again
-    // becomes the served snapshot, so any later view() through a
-    // squirreled-away handle is a use-across-failsafe-flip bug and
-    // aborts in checked builds.
-    if (slots_[1 - active_slot_])
-      lockdep::snapshot::retire(slots_[1 - active_slot_]->lifecycle_gen,
-                                "failsafe-flip");
-    slots_[1 - active_slot_].reset();
-    snap_.store(slots_[active_slot_], std::memory_order_release);
-    // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-    in_failsafe_.store(true, std::memory_order_relaxed);
-    bump_relaxed(failsafe_events_);
-  }
-  return read_relaxed(in_failsafe_);
+  rebuild_snapshot();
+  // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
+  in_failsafe_.store(false, std::memory_order_relaxed);
 }
 
 void ParallelServer::govern(AdmissionRegime regime,
@@ -187,64 +149,6 @@ unsigned ParallelServer::worker_count() const {
   if (cfg_.workers) return cfg_.workers;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;
-}
-
-ParallelServer::StreamTotals ParallelServer::verify_stream(
-    const std::vector<TagReport>& reports, unsigned workers) {
-  publish();
-  const std::shared_ptr<const EpochSnapshot> snap = snapshot();
-  unsigned n = workers ? workers : worker_count();
-  if (!reports.empty() && reports.size() < n)
-    n = static_cast<unsigned>(reports.size());
-  if (n == 0) n = 1;
-
-  std::vector<StreamTotals> parts(n);
-  const std::size_t chunk = reports.empty() ? 0 : (reports.size() + n - 1) / n;
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (unsigned w = 0; w < n; ++w) {
-    pool.emplace_back([&reports, &parts, &snap, chunk, w] {
-      const EpochTables tables = snap->view();
-      VerifyMemo memo;  // one snapshot for the whole stream: never cleared
-      StreamTotals& t = parts[w];
-      const std::size_t lo = static_cast<std::size_t>(w) * chunk;
-      const std::size_t hi =
-          lo + chunk < reports.size() ? lo + chunk : reports.size();
-      // Batched kernel over the worker's slice, autotuned lanes per
-      // call; scratch is worker-local like the memo.
-      const std::size_t bs = autotuned_batch_size();
-      ReportBatch soa;
-      soa.reserve(bs);
-      std::vector<Verdict> verdicts(bs);
-      for (std::size_t i = lo; i < hi;) {
-        const std::size_t m = std::min(bs, hi - i);
-        soa.clear();
-        for (std::size_t k = 0; k < m; ++k) soa.push(reports[i + k]);
-        verify_epoch_aware_batch(soa, 0, m, tables, &memo, verdicts.data());
-        for (std::size_t k = 0; k < m; ++k) {
-          const Verdict& v = verdicts[k];
-          ++t.verified;
-          if (v.ok())
-            ++t.passed;
-          else if (v.status == VerifyStatus::kStaleEpoch)
-            ++t.stale;
-          else
-            ++t.failed;
-        }
-        i += m;
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-
-  StreamTotals total;
-  for (const StreamTotals& p : parts) {
-    total.verified += p.verified;
-    total.passed += p.passed;
-    total.failed += p.failed;
-    total.stale += p.stale;
-  }
-  return total;
 }
 
 void ParallelServer::start() {
@@ -296,14 +200,9 @@ bool ParallelServer::submit_datagram(
   const auto report = wire::decode_report(datagram);
   if (!report) {
     Lane& lane = *lanes_.front();  // malformed payloads name no switch
-    {
-      MutexLock lk(lane.mu);
-      ++lane.received;
-      ++lane.quarantined;
-    }
-    MutexLock qk(quarantine_mu_);
-    quarantine_.push_back(datagram);
-    if (quarantine_.size() > cfg_.quarantine_keep) quarantine_.pop_front();
+    MutexLock lk(lane.mu);
+    ++lane.received;
+    ++lane.quarantined;
     return false;
   }
   return submit(*report);
@@ -311,7 +210,7 @@ bool ParallelServer::submit_datagram(
 
 ParallelServer::Lane* ParallelServer::pick_victim(std::size_t own) {
   Lane* best = nullptr;
-  std::size_t best_depth = cfg_.steal_threshold - 1;
+  std::size_t best_depth = 0;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (i == own) continue;
     const std::size_t depth = lanes_[i]->q.size();
@@ -374,9 +273,7 @@ void ParallelServer::worker_loop(unsigned idx) {
       // bounded backoff, then rescan (a sibling may have filled while
       // we only get woken for our own lane's pushes).
       const clock::time_point w0 = clock::now();
-      n = own.q.pop_batch_for(
-          batch, cfg_.batch_size,
-          std::chrono::microseconds(cfg_.idle_backoff_us));
+      n = own.q.pop_batch_for(batch, cfg_.batch_size, kIdleBackoff);
       WorkerProfile::bump(wp.lock_acquisitions);
       WorkerProfile::bump(
           wp.queue_wait_ns,

@@ -3,7 +3,7 @@
 // a higher throughput with multi-threading in the future"; this is that
 // future. Architecture (DESIGN.md §6):
 //
-//   producers ──► shard-affine lanes: lane = (sw % shards) % workers
+//   producers ──► shard-affine lanes: lane = sw % workers
 //   (any thread)  each lane: {dedup trackers + counters, bounded queue}
 //                                                │ batch dequeue by the
 //                                                │ OWNING worker; idle
@@ -20,7 +20,7 @@
 // old pipeline funneled every producer and every worker through ONE
 // BoundedMpmcQueue — one mutex and one condvar bouncing between all
 // cores, so adding workers added contention instead of throughput.
-// Reports are now routed by switch shard to per-worker lanes: a lane's
+// Reports are now routed by switch to per-worker lanes: a lane's
 // dedup trackers, health counters and bounded queue are touched only by
 // the producers of that lane's switches and by its owning worker, so on
 // the hot path no lock and no counter cacheline is shared across
@@ -46,9 +46,10 @@
 //
 // Equivalence guarantee: verification classification is the shared
 // verify_epoch_aware (verifier.hpp) — the same function the sequential
-// Server runs — so verify_stream()'s merged verdict totals are
+// Server runs — so the lanes' merged verdict totals (health()) are
 // bit-identical to a sequential Server fed the same reports under the
-// same epoch history. The stress tests assert this exactly.
+// same epoch history. The stress tests and the fuzz campaign's oracle
+// assert this exactly.
 //
 // Observability: every worker owns a ScalProfiler slot (queue-wait,
 // lock, snapshot-load, memo and steal counters — common/scal_profiler
@@ -56,7 +57,7 @@
 // .json so a future flat curve names the shared state responsible.
 //
 // Threading contract (machine-checked where expressible — DESIGN.md §8:
-// lane state, failure and quarantine buffers carry GUARDED_BY
+// lane state and the failure buffer carry GUARDED_BY
 // annotations enforced by the clang-strict preset; the single-threaded
 // control-plane fields and the lock-free snapshot pointer are the two
 // documented-only exceptions, covered by the TSan suites):
@@ -105,12 +106,8 @@ struct ParallelConfig {
   /// batched kernel call per dequeue). 0 = autotuned_batch_size(), as
   /// IngestConfig::batch_size.
   std::size_t batch_size = 32;
-  std::size_t shards = 16;           ///< switch-affinity granularity
   std::size_t dedup_window = 4096;   ///< remembered seqs per switch
   std::size_t failure_keep = 256;    ///< mismatched reports retained
-  std::size_t quarantine_keep = 16;  ///< malformed payloads retained
-  std::size_t steal_threshold = 1;   ///< min victim depth worth stealing
-  std::uint32_t idle_backoff_us = 200;  ///< idle sleep between steal scans
 };
 
 /// perfbench/e2e.cc still names the parallel ledger by its old name.
@@ -118,19 +115,11 @@ using ParallelHealth = IngestHealth;
 
 class ParallelServer {
  public:
-  /// Verdict totals of one verify_stream call. Bit-identical to the
-  /// pass/fail/stale counters a sequential Server accumulates over the
-  /// same reports.
-  struct StreamTotals {
-    std::uint64_t verified = 0;
-    std::uint64_t passed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t stale = 0;
-  };
-
   /// Subscribes to `controller`'s rule events (controller must outlive
   /// the server and mutate only from the control thread). Throws
-  /// std::invalid_argument if cfg.queue_capacity < worker_count().
+  /// std::invalid_argument on the bounds validate_admission rejects
+  /// (admission.hpp — the sequential ingest accepts the same configs)
+  /// and if cfg.queue_capacity < worker_count().
   explicit ParallelServer(Controller& controller, ParallelConfig cfg = {},
                           int tag_bits = BloomTag::kDefaultBits);
   ~ParallelServer();
@@ -148,30 +137,21 @@ class ParallelServer {
 
   /// Publishes a fresh snapshot if rule events arrived since the last
   /// one (lazy, like Server's dirty rebuild). Safe while workers run —
-  /// that is the point. Declines (keeps serving the active slot) while
-  /// the publisher fault hook is wedged — the heartbeat watchdog, not
-  /// publish(), decides when that becomes a failsafe event.
+  /// that is the point. The failsafe rule is Server::ensure_fresh's: a
+  /// publish that finds the publisher wedged with events pending keeps
+  /// serving the last published snapshot and engages the failsafe
+  /// (failsafe_events bumps once per wedge); the next successful
+  /// publish clears it.
   void publish();
 
-  // -- Publisher heartbeat + A/B failsafe -----------------------------------
   /// Fault-injection hook: while it returns true the snapshot publisher
-  /// is wedged — publish()/heartbeat() build nothing and the active A/B
-  /// slot keeps serving. Control thread only.
+  /// is wedged — publish() builds nothing and the last published
+  /// snapshot keeps serving. Control thread only.
   void set_publish_fault(std::function<bool()> fault) {
     publish_fault_ = std::move(fault);
   }
-  /// One publisher heartbeat (control thread, once per control tick).
-  /// Pending rule events are published (built into the inactive A/B
-  /// slot, then flipped) unless the publisher is wedged; a publisher
-  /// that stays wedged for `deadline_ticks` consecutive heartbeats
-  /// trips the watchdog: the abandoned inactive slot is dropped, the
-  /// last-good active slot is re-asserted as the served snapshot, and
-  /// failsafe_events is bumped (edge-triggered, loud). Recovery is
-  /// automatic — the first un-wedged heartbeat with pending events
-  /// publishes and clears the failsafe. Returns in_failsafe().
-  bool heartbeat(std::uint64_t deadline_ticks = 3);
-  /// True while the watchdog is serving the last-good slot because the
-  /// publisher missed its heartbeat deadline with events pending.
+  /// True while publish() is serving the last published snapshot
+  /// because the publisher is wedged behind pending rule events.
   [[nodiscard]] bool in_failsafe() const {
     // veridp-lint: allow(relaxed-atomic, advisory status poll; no data guarded by it)
     return in_failsafe_.load(std::memory_order_relaxed);
@@ -202,22 +182,13 @@ class ParallelServer {
         regime_.load(std::memory_order_relaxed));
   }
 
-  /// Verifies `reports` across `workers` threads (0 = configured count)
-  /// against the currently published snapshot and returns merged totals.
-  /// Bypasses ingest (no dedup/shedding) — this is the pure verification
-  /// fan-out; its totals match a sequential Server::verify loop exactly.
-  StreamTotals verify_stream(const std::vector<TagReport>& reports,
-                             unsigned workers = 0);
-
-  // -- Streaming mode -------------------------------------------------------
   /// Launches the worker pool and the localization-stage consumer.
   void start();
   /// Offers one decoded report: lane-affine dedup → shed check → lane
   /// queue. Returns true iff enqueued for verification. Thread-safe.
   bool submit(const TagReport& report);
-  /// Offers one encoded datagram (decode failures are quarantined).
-  bool submit_datagram(const std::vector<std::uint8_t>& datagram)
-      EXCLUDES(quarantine_mu_);
+  /// Offers one encoded datagram (decode failures count as quarantined).
+  bool submit_datagram(const std::vector<std::uint8_t>& datagram);
   /// Blocks until every submitted report has been verified and every
   /// mismatch has cleared the localization stage. Producers must be
   /// quiescent.
@@ -277,17 +248,16 @@ class ParallelServer {
   /// ingest counters for the switches routed here, plus the bounded
   /// queue its owning worker dequeues from. Producers for different
   /// lanes share nothing; producers for the same lane serialize on
-  /// `mu` exactly like the old per-switch shards did — every mutable
-  /// ingest member is GUARDED_BY(mu) and the clang-strict build rejects
-  /// any access outside a MutexLock(lane.mu) scope. The queue carries
-  /// its own internal synchronization (it must: thieves bypass `mu`).
+  /// `mu` — every mutable ingest member is GUARDED_BY(mu) and the
+  /// clang-strict build rejects any access outside a MutexLock(lane.mu)
+  /// scope. The queue carries its own internal synchronization (it
+  /// must: thieves bypass `mu`).
   struct alignas(64) Lane {
     explicit Lane(std::size_t capacity) : q(capacity) {}
     // Lock class + declared order (DESIGN.md §12): lane admission is
     // the outermost ingest lock — it may be held while touching the
-    // lane's queue or the quarantine buffer, never the reverse.
+    // lane's queue, never the reverse.
     // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
-    // ACQUIRED_BEFORE("ParallelServer::quarantine_mu")
     mutable Mutex mu{"ParallelServer::Lane::mu"};
     std::unordered_map<SwitchId, SeqTracker> seq GUARDED_BY(mu);
     std::uint64_t received GUARDED_BY(mu) = 0;
@@ -303,12 +273,10 @@ class ParallelServer {
     return publish_fault_ && publish_fault_();
   }
   Lane& lane_for(SwitchId sw) {
-    const std::size_t shard = static_cast<std::size_t>(sw) % shards_;
-    return *lanes_[shard % lanes_.size()];
+    return *lanes_[static_cast<std::size_t>(sw) % lanes_.size()];
   }
-  /// Deepest sibling lane with at least steal_threshold queued reports,
-  /// or nullptr. O(lanes) advisory size reads — only taken when the
-  /// worker's own lane ran dry.
+  /// Deepest non-empty sibling lane, or nullptr. O(lanes) advisory size
+  /// reads — only taken when the worker's own lane ran dry.
   Lane* pick_victim(std::size_t own);
   [[nodiscard]] bool all_lanes_drained() const;
   void worker_loop(unsigned idx);
@@ -317,7 +285,6 @@ class ParallelServer {
   Controller* controller_;
   ParallelConfig cfg_;
   int tag_bits_;
-  std::size_t shards_ = 16;         ///< affinity modulus (>= 1)
   std::size_t lane_capacity_ = 0;   ///< per-lane hard bound
   std::size_t lane_watermark_ = 0;  ///< per-lane shedding threshold
 
@@ -332,16 +299,8 @@ class ParallelServer {
   std::atomic<std::shared_ptr<const EpochSnapshot>> snap_;
   std::atomic<std::uint64_t> published_{0};
 
-  // A/B publication slots (control thread only; `snap_` is the reader-
-  // visible pointer). The publisher builds into the inactive slot and
-  // flips by storing it to snap_; the active slot pins the last
-  // successfully published snapshot so the watchdog always has a
-  // known-good unit to fail over to, whatever state a wedged build
-  // left the other slot in.
-  std::shared_ptr<const EpochSnapshot> slots_[2];
-  unsigned active_slot_ = 0;
+  // Failsafe (see publish()): the fault hook is control-thread only.
   std::function<bool()> publish_fault_;
-  std::uint64_t missed_heartbeats_ = 0;
   std::atomic<bool> in_failsafe_{false};
   std::atomic<std::uint64_t> failsafe_events_{0};
 
@@ -359,16 +318,9 @@ class ParallelServer {
   std::thread failure_consumer_;
   ScalProfiler prof_;
 
-  // Localization-stage output + quarantine (cold paths, mutex-guarded).
-  // Declared order: if both buffers are ever locked together, failures
-  // first — the ACQUIRED_BEFORE attribute makes the hierarchy visible
-  // to clang's beta analysis and to tools/lock_order_extract.py.
-  mutable Mutex failures_mu_ ACQUIRED_BEFORE(quarantine_mu_){
-      "ParallelServer::failures_mu"};
+  // Localization-stage output (cold path, mutex-guarded).
+  mutable Mutex failures_mu_{"ParallelServer::failures_mu"};
   std::deque<TagReport> failures_ GUARDED_BY(failures_mu_);
-  mutable Mutex quarantine_mu_{"ParallelServer::quarantine_mu"};
-  std::deque<std::vector<std::uint8_t>> quarantine_
-      GUARDED_BY(quarantine_mu_);
 };
 
 }  // namespace veridp

@@ -41,8 +41,8 @@ const PathTable* EpochTables::for_epoch(std::uint32_t e) const {
 }
 
 EpochTables EpochSnapshot::view() const {
-  // Checked builds abort here on use-after-retire / use-across-
-  // failsafe-flip (lockdep.hpp); release builds see gen 0 and pass.
+  // Checked builds abort here on use-after-retire / use-after-destroy
+  // (lockdep.hpp); release builds see gen 0 and pass.
   lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
   EpochTables t;
   t.epoch_checking = epoch_checking;
@@ -95,8 +95,8 @@ Verdict verify_epoch_aware(const TagReport& report, const EpochTables& t) {
 
   // Ahead-of-table: the report was stamped under an epoch newer than
   // anything the current table definitively covers (the publisher lags
-  // the config — dirty-but-unpublished events, or the A/B failsafe
-  // serving the last-good snapshot while the publisher is wedged). A
+  // the config — dirty-but-unpublished events, or the failsafe serving
+  // the last published snapshot while the publisher is wedged). A
   // pass against the current table is conclusive; a mismatch may merely
   // reflect the config delta the table has not absorbed yet, so it is
   // inconclusive — never a data-plane failure.

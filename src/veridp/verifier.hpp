@@ -109,12 +109,11 @@ struct EpochTables {
 /// snapshot after every edit and never lets another thread read it.)
 ///
 /// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
-/// registers a lockdep lifecycle generation at construction; the
-/// failsafe watchdog retires the generation of the slot it abandons,
-/// and view() aborts on a retired or destroyed generation — the
+/// registers a lockdep lifecycle generation at construction and
+/// view() aborts on a retired or destroyed generation — the
 /// arena-generation trick of §8.3 applied to snapshots. The contract
 /// it enforces: a snapshot handle is used within one batch under a
-/// live shared_ptr pin and never across a failsafe flip.
+/// live shared_ptr pin.
 struct EpochSnapshot {
   std::uint32_t epoch = 0;
   std::uint32_t table_valid_from = 0;
@@ -168,7 +167,7 @@ struct EpochPolicy {
 /// stamp (ring lookup, then the grace-window rule — a stale report may
 /// still pass against the current table but never fail, see server.hpp).
 /// Reports stamped AHEAD of table_valid_to (the publisher lags the
-/// config — e.g. the A/B failsafe is serving the last-good snapshot)
+/// config — e.g. the failsafe is serving the last published snapshot)
 /// get the symmetric treatment: a pass against the current table is
 /// conclusive, a mismatch is kStaleEpoch — so a wedged publisher can
 /// degrade verification to "inconclusive", never to a false positive.

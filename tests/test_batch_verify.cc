@@ -3,7 +3,7 @@
 // scalar verify_epoch_aware run lane by lane — the verdicts (status,
 // matched pointer, epoch), the memo's end state and its hit/lookup
 // counters — across every Verdict kind, every batch size, and the
-// epoch-edge fallbacks (kStaleEpoch, grace window, ahead-of-table A/B
+// epoch-edge fallbacks (kStaleEpoch, grace window, ahead-of-table
 // failsafe). Also covers the batch kernels the pipeline rides on
 // (eval_packed_many) and the ingest-level equality of batch_size
 // settings including shed / malformed / dedup flows.
@@ -172,7 +172,7 @@ TEST(BatchVerify, NullMemoAndEpochOffRewrite) {
 }
 
 // Epoch-edge differential: a snapshot ring, a grace window and an
-// ahead-of-table ceiling (the A/B failsafe window), with reports
+// ahead-of-table ceiling (the failsafe window), with reports
 // stamped into every region — ring-covered, grace-covered, uncovered
 // (kStaleEpoch) and ahead-of-table. The batch path must route each lane
 // through the same table (or fallback) the scalar path picks.

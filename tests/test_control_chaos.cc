@@ -3,7 +3,7 @@
 //
 //   switches --wire--> ReportChannel (drop/dup/reorder/corrupt)
 //            --datagrams--> governed ReportIngest (regime admission)
-//            --reports--> Server (epoch-aware, A/B failsafe)
+//            --reports--> Server (epoch-aware, failsafe)
 //            ^ IngestGovernor ticks: observe pressure, command regime +
 //              shed modulus + data-plane sampling factor
 //
@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-// The sequential A/B failsafe in isolation: a wedged lazy-rebuild server
+// The sequential failsafe in isolation: a wedged lazy-rebuild server
 // under churn serves the last-good table, classifies ahead-of-table
 // reports pass/stale (never failed), recovers on the next verify after
 // the wedge clears, and — in kIncremental mode — replays the deferred

@@ -10,6 +10,7 @@
 #include "controller/routing.hpp"
 #include "dataplane/wire.hpp"
 #include "testutil.hpp"
+#include "veridp/parallel_server.hpp"
 #include "veridp/workload.hpp"
 
 namespace veridp {
@@ -146,21 +147,35 @@ TEST(Ingest, OverloadShedsDeterministicallyAndStaysBounded) {
 
 TEST(Ingest, ConfigValidationRejectsDegenerateConfigs) {
   Rig rig;
+  // The parallel server must accept exactly the bounds the ingest does.
+  const auto parallel_with = [&rig](const IngestConfig& icfg) {
+    ParallelConfig pcfg;
+    pcfg.workers = 1;
+    pcfg.queue_capacity = icfg.capacity;
+    pcfg.high_watermark = icfg.high_watermark;
+    pcfg.shed_modulus = icfg.shed_modulus;
+    ParallelServer ps(rig.c, pcfg);
+  };
   IngestConfig cfg;
   cfg.capacity = 0;
   EXPECT_THROW(ReportIngest(rig.server, cfg), std::invalid_argument);
+  EXPECT_THROW(parallel_with(cfg), std::invalid_argument);
 
   cfg = {};
   cfg.high_watermark = cfg.capacity;  // shedding could never engage
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(parallel_with(cfg), std::invalid_argument);
   cfg.high_watermark = cfg.capacity + 1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(parallel_with(cfg), std::invalid_argument);
 
   cfg = {};
   cfg.shed_modulus = 0;  // seq % 0 is UB
   EXPECT_THROW(ReportIngest(rig.server, cfg), std::invalid_argument);
+  EXPECT_THROW(parallel_with(cfg), std::invalid_argument);
 
   EXPECT_NO_THROW(IngestConfig{}.validate());
+  EXPECT_NO_THROW(parallel_with(IngestConfig{}));
 }
 
 TEST(Ingest, ConservationHoldsMidFlightNotOnlyAfterDrain) {

@@ -73,12 +73,43 @@ SeqTotals run_oracle(Server& server, const std::vector<TagReport>& reports) {
   return t;
 }
 
+/// Room for every test stream in one lane: nothing is ever shed.
+ParallelConfig never_shed(unsigned workers) {
+  ParallelConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = 1 << 16;
+  cfg.high_watermark = (1 << 16) - 1;
+  return cfg;
+}
+
+/// The lanes' counterpart of run_oracle: publishes (as Server::verify
+/// refreshes first), submits copies of `reports` with seq cleared — seq
+/// never reaches a verdict, and seq 0 skips dedup — then runs the pool
+/// until drained. Reports submitted to a stopped server wait in their
+/// lanes for start(). Returns this call's verdict totals; every report
+/// must be verified, none shed or deduped.
+SeqTotals verify_through_lanes(ParallelServer& ps,
+                               const std::vector<TagReport>& reports) {
+  ps.publish();
+  const IngestHealth before = ps.health();
+  for (TagReport r : reports) {
+    r.seq = 0;
+    ps.submit(r);
+  }
+  ps.start();
+  ps.drain();
+  const IngestHealth after = ps.health();
+  EXPECT_EQ(after.shed, before.shed);
+  EXPECT_EQ(after.deduped, before.deduped);
+  EXPECT_EQ(after.verified - before.verified, reports.size());
+  return {after.verified - before.verified, after.passed - before.passed,
+          after.failed - before.failed, after.stale - before.stale};
+}
+
 TEST(ParallelServer, StreamTotalsBitIdenticalToSequential) {
   Rig rig(fat_tree(4));
   Server oracle(rig.controller, Server::Mode::kFullRebuild);
-  ParallelConfig cfg;
-  cfg.workers = 4;
-  ParallelServer parallel(rig.controller, cfg);
+  ParallelServer parallel(rig.controller, never_shed(4));
   rig.install_and_deploy();
   oracle.sync();
   parallel.sync();
@@ -103,7 +134,7 @@ TEST(ParallelServer, StreamTotalsBitIdenticalToSequential) {
   bogus.outport = bogus.inport;  // no path enters and exits the same port
   reports.push_back(bogus);
 
-  const ParallelServer::StreamTotals par = parallel.verify_stream(reports, 4);
+  const SeqTotals par = verify_through_lanes(parallel, reports);
   const SeqTotals seq = run_oracle(oracle, reports);
 
   EXPECT_EQ(par.verified, seq.verified);
@@ -118,9 +149,7 @@ TEST(ParallelServer, StreamTotalsMatchAcrossEpochRing) {
   Rig rig(fat_tree(4));
   Server oracle(rig.controller, Server::Mode::kFullRebuild);
   oracle.enable_epoch_checking(/*snapshot_ring=*/8, /*grace_window=*/64);
-  ParallelConfig cfg;
-  cfg.workers = 4;
-  ParallelServer parallel(rig.controller, cfg);
+  ParallelServer parallel(rig.controller, never_shed(4));
   parallel.enable_epoch_checking(/*snapshot_ring=*/8, /*grace_window=*/64);
   rig.install_and_deploy();
   oracle.sync();
@@ -147,7 +176,7 @@ TEST(ParallelServer, StreamTotalsMatchAcrossEpochRing) {
   const std::vector<TagReport> fresh = rig.collect_reports(/*t=*/1.0);
   reports.insert(reports.end(), fresh.begin(), fresh.end());
 
-  const ParallelServer::StreamTotals par = parallel.verify_stream(reports, 4);
+  const SeqTotals par = verify_through_lanes(parallel, reports);
   const SeqTotals seq = run_oracle(oracle, reports);
 
   EXPECT_EQ(par.verified, seq.verified);
@@ -214,11 +243,8 @@ TEST(ParallelServer, ChaosStreamProducersWorkersMatchSequentialOracle) {
   Rig rig(fat_tree(4));
   Server oracle_server(rig.controller, Server::Mode::kFullRebuild);
   oracle_server.enable_epoch_checking();
-  ParallelConfig cfg;
-  cfg.workers = kWorkers;
-  cfg.queue_capacity = 1 << 16;  // no shedding: shed decisions are
-  cfg.high_watermark = 1 << 16;  // timing-dependent, tested separately
-  cfg.shards = 8;
+  // No shedding: shed decisions are timing-dependent, tested separately.
+  ParallelConfig cfg = never_shed(kWorkers);
   cfg.dedup_window = 1 << 16;
   cfg.failure_keep = 1 << 16;
   ParallelServer parallel(rig.controller, cfg);
@@ -323,10 +349,7 @@ TEST(ParallelServer, ChaosStreamProducersWorkersMatchSequentialOracle) {
 TEST(ParallelServer, StopStartSubmitLifecycleDrainsBothPhases) {
   Rig rig(fat_tree(4));
   Server oracle(rig.controller, Server::Mode::kFullRebuild);
-  ParallelConfig cfg;
-  cfg.workers = 3;
-  cfg.queue_capacity = 1 << 16;
-  cfg.high_watermark = 1 << 16;
+  ParallelConfig cfg = never_shed(3);
   cfg.dedup_window = 1 << 16;
   ParallelServer parallel(rig.controller, cfg);
   rig.install_and_deploy();
@@ -387,10 +410,7 @@ TEST(ParallelServer, StopStartSubmitLifecycleDrainsBothPhases) {
 // conservation relations must still hold.
 TEST(ParallelServer, MemoHitsStayInsideTheVerifiedLedger) {
   Rig rig(linear(3));
-  ParallelConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 1 << 16;
-  cfg.high_watermark = 1 << 16;
+  ParallelConfig cfg = never_shed(2);
   cfg.dedup_window = 1 << 16;
   ParallelServer parallel(rig.controller, cfg);
   rig.install_and_deploy();
@@ -465,7 +485,7 @@ TEST(ParallelServer, SkewedLaneIsRebalancedByWorkStealing) {
   ParallelConfig cfg;
   cfg.workers = 4;
   cfg.queue_capacity = 1 << 19;  // never shed: skew is the subject here
-  cfg.high_watermark = 1 << 19;
+  cfg.high_watermark = (1 << 19) - 1;
   cfg.dedup_window = 1 << 20;
   ParallelServer parallel(rig.controller, cfg);
   rig.install_and_deploy();
@@ -523,7 +543,7 @@ TEST(ParallelServer, SnapshotSwapMidStreamKeepsVerdictsConsistent) {
   ParallelConfig cfg;
   cfg.workers = 3;
   cfg.queue_capacity = 1 << 14;
-  cfg.high_watermark = 1 << 14;
+  cfg.high_watermark = (1 << 14) - 1;
   ParallelServer parallel(rig.controller, cfg);
   parallel.enable_epoch_checking(/*snapshot_ring=*/8, /*grace_window=*/64);
   rig.install_and_deploy();
@@ -611,22 +631,33 @@ TEST(ParallelServer, MismatchesFeedSingleConsumerLocalizationStage) {
   EXPECT_TRUE(parallel.take_failures().empty());
 }
 
-// A/B epoch-flip failsafe: a wedged snapshot publisher must degrade
+// Failsafe parity: a wedged snapshot publisher must degrade
 // verification to "inconclusive" (kStaleEpoch), never to a false
-// positive, and the watchdog must fire within one heartbeat deadline.
+// positive — and the parallel server must follow the sequential
+// Server's rule step for step: the first refresh that finds the
+// publisher wedged with events pending engages the failsafe once, the
+// next successful one clears it.
 TEST(ParallelServer, WedgedPublisherFailsOverWithoutFalsePositives) {
   Rig rig(fat_tree(4));
-  ParallelConfig cfg;
-  cfg.workers = 2;
-  ParallelServer parallel(rig.controller, cfg);
+  Server server(rig.controller, Server::Mode::kFullRebuild);
+  server.enable_epoch_checking();
+  ParallelServer parallel(rig.controller, never_shed(2));
   parallel.enable_epoch_checking();
   rig.install_and_deploy();
+  server.sync();
   parallel.sync();
 
-  std::atomic<bool> wedged{false};
-  parallel.set_publish_fault([&] { return wedged.load(); });
+  bool wedged = false;
+  server.set_publish_fault([&] { return wedged; });
+  parallel.set_publish_fault([&] { return wedged; });
 
-  // Healthy heartbeat path first: churn → one heartbeat publishes.
+  // One control step: both servers refresh, then must agree.
+  auto step = [&](const char* what) {
+    (void)server.table();
+    parallel.publish();
+    EXPECT_EQ(parallel.in_failsafe(), server.in_failsafe()) << what;
+    EXPECT_EQ(parallel.failsafe_events(), server.failsafe_events()) << what;
+  };
   const auto& subnets = rig.topo.subnets();
   ASSERT_GE(subnets.size(), 4u);
   auto churn = [&](std::size_t i, int prio) {
@@ -636,44 +667,49 @@ TEST(ParallelServer, WedgedPublisherFailsOverWithoutFalsePositives) {
     rig.controller.deploy(rig.net);
     rig.net.set_config_epoch(rig.controller.epoch());
   };
+
+  // Healthy path first: churn → one publish.
   churn(0, 8000);
   const std::uint64_t flips_before = parallel.health().snapshot_flips;
-  EXPECT_FALSE(parallel.heartbeat(/*deadline_ticks=*/2));
+  step("healthy publish");
   EXPECT_EQ(parallel.health().snapshot_flips, flips_before + 1);
   EXPECT_FALSE(parallel.in_failsafe());
 
   // Wedge the publisher, then churn again: reports sampled under the
   // new epoch are ahead of everything the served snapshot covers.
-  wedged.store(true);
+  wedged = true;
   churn(1, 8001);
   const std::vector<TagReport> ahead = rig.collect_reports(/*t=*/1.0);
   ASSERT_FALSE(ahead.empty());
-
-  // The watchdog fires within the deadline: tick 1 misses, tick 2 trips.
-  EXPECT_FALSE(parallel.heartbeat(2));
-  EXPECT_EQ(parallel.failsafe_events(), 0u);
-  EXPECT_TRUE(parallel.heartbeat(2)) << "deadline reached: failsafe";
+  step("wedged publish");
   EXPECT_TRUE(parallel.in_failsafe());
   EXPECT_EQ(parallel.failsafe_events(), 1u);
-  EXPECT_TRUE(parallel.heartbeat(2)) << "still wedged";
-  EXPECT_EQ(parallel.failsafe_events(), 1u) << "edge-triggered, not per tick";
+  step("still wedged");
+  EXPECT_EQ(parallel.failsafe_events(), 1u) << "once per wedge, not per step";
 
-  // Served snapshot is the last-good slot; ahead-of-table reports from a
+  // Both serve the last published table; ahead-of-table reports from a
   // CONSISTENT plane must all pass or go stale — zero false positives.
-  const ParallelServer::StreamTotals t = parallel.verify_stream(ahead, 2);
-  EXPECT_EQ(t.failed, 0u)
+  const SeqTotals seq = run_oracle(server, ahead);
+  const SeqTotals par = verify_through_lanes(parallel, ahead);
+  EXPECT_EQ(par.passed, seq.passed);
+  EXPECT_EQ(par.failed, seq.failed);
+  EXPECT_EQ(par.stale, seq.stale);
+  EXPECT_EQ(par.failed, 0u)
       << "a wedged publisher must never manufacture a data-plane fault";
-  EXPECT_EQ(t.verified, ahead.size());
+  step("verified while wedged");
 
-  // Recovery: the wedge clears, the next heartbeat publishes and the
-  // failsafe lifts; the same reports now verify conclusively.
-  wedged.store(false);
-  EXPECT_FALSE(parallel.heartbeat(2));
+  // Recovery: the wedge clears, the next publish lifts the failsafe and
+  // the same reports now verify conclusively.
+  wedged = false;
+  step("recovered");
   EXPECT_FALSE(parallel.in_failsafe());
-  const ParallelServer::StreamTotals r = parallel.verify_stream(ahead, 2);
-  EXPECT_EQ(r.failed, 0u);
-  EXPECT_EQ(r.stale, 0u) << "recovered: nothing is inconclusive anymore";
-  EXPECT_EQ(r.passed, ahead.size());
+  EXPECT_EQ(parallel.failsafe_events(), 1u);
+  const SeqTotals seq2 = run_oracle(server, ahead);
+  const SeqTotals par2 = verify_through_lanes(parallel, ahead);
+  EXPECT_EQ(par2.passed, seq2.passed);
+  EXPECT_EQ(par2.failed, 0u);
+  EXPECT_EQ(par2.stale, 0u) << "recovered: nothing is inconclusive anymore";
+  EXPECT_EQ(par2.passed, ahead.size());
 }
 
 // Commanded admission regimes on the parallel ingest: kHard admits
@@ -685,7 +721,6 @@ TEST(ParallelServer, GovernedRegimesOnTheParallelIngest) {
   Rig rig(linear(4));
   ParallelConfig cfg;
   cfg.workers = 2;
-  cfg.shards = 4;
   ParallelServer parallel(rig.controller, cfg);
   rig.install_and_deploy();
   parallel.sync();

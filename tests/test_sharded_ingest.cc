@@ -54,12 +54,11 @@ struct Rig {
   }
 };
 
-ParallelConfig wide_open(unsigned workers, std::size_t shards) {
+ParallelConfig wide_open(unsigned workers) {
   ParallelConfig cfg;
   cfg.workers = workers;
-  cfg.shards = shards;
   cfg.queue_capacity = 1 << 16;  // shedding has its own test below
-  cfg.high_watermark = 1 << 16;
+  cfg.high_watermark = (1 << 16) - 1;
   cfg.dedup_window = 1 << 16;
   return cfg;
 }
@@ -78,7 +77,7 @@ void fan_out(ParallelServer& ps, const std::vector<TagReport>& reports,
 
 TEST(ShardedIngest, DedupAcrossProducerThreadsIsExact) {
   Rig rig(linear(3));
-  ParallelServer ps(rig.controller, wide_open(/*workers=*/2, /*shards=*/4));
+  ParallelServer ps(rig.controller, wide_open(/*workers=*/2));
   rig.deploy();
   ps.sync();
 
@@ -116,7 +115,7 @@ TEST(ShardedIngest, DedupAcrossProducerThreadsIsExact) {
 
 TEST(ShardedIngest, LossEstimateMatchesSequentialTrackerOracle) {
   Rig rig(linear(3));
-  ParallelServer ps(rig.controller, wide_open(/*workers=*/2, /*shards=*/4));
+  ParallelServer ps(rig.controller, wide_open(/*workers=*/2));
   rig.deploy();
   ps.sync();
 
@@ -154,11 +153,11 @@ TEST(ShardedIngest, LossEstimateMatchesSequentialTrackerOracle) {
 }
 
 // Sequence spaces are per switch: the same seq number arriving from two
-// switches is two distinct reports, even when the switches hash to the
-// SAME shard (more switches than shards forces sharing).
+// switches is two distinct reports, even when the switches map to the
+// SAME lane (more switches than lanes forces sharing).
 TEST(ShardedIngest, PerSwitchSequenceSpacesAreIndependent) {
   Rig rig(linear(4));
-  ParallelServer ps(rig.controller, wide_open(/*workers=*/2, /*shards=*/2));
+  ParallelServer ps(rig.controller, wide_open(/*workers=*/2));
   rig.deploy();
   ps.sync();
 
@@ -203,7 +202,6 @@ TEST(ShardedIngest, SheddingUnderOverloadStillConserves) {
   Rig rig(linear(3));
   ParallelConfig cfg;
   cfg.workers = 2;
-  cfg.shards = 4;
   cfg.queue_capacity = 64;
   cfg.high_watermark = 16;
   cfg.shed_modulus = 4;
@@ -304,8 +302,10 @@ TEST(ShardedIngest, CapacityBelowTheLaneCountIsRejected) {
   ParallelConfig cfg;
   cfg.workers = 8;
   cfg.queue_capacity = 4;
+  cfg.high_watermark = 3;
   EXPECT_THROW(ParallelServer(rig.controller, cfg), std::invalid_argument);
   cfg.queue_capacity = 8;
+  cfg.high_watermark = 7;
   EXPECT_NO_THROW(ParallelServer(rig.controller, cfg));
 }
 

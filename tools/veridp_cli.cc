@@ -378,7 +378,7 @@ int cmd_parallel(Topology topo, const ChannelConfig& ccfg, int rounds,
   ParallelConfig pcfg;
   pcfg.workers = workers;
   pcfg.queue_capacity = 1u << 16;
-  pcfg.high_watermark = 1u << 16;
+  pcfg.high_watermark = (1u << 16) - 1;
   pcfg.dedup_window = 1u << 16;
   pcfg.failure_keep = 1u << 16;
   ParallelServer parallel(c, pcfg);

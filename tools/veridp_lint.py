@@ -38,10 +38,11 @@ Rules encode lessons this codebase has already paid for (DESIGN.md §8):
       needs `veridp-lint: allow(relaxed-atomic, <justification>)` with
       a NON-EMPTY justification. Relaxed is correct for commutative
       counters and advisory flags, and subtly wrong the moment a
-      reader infers anything about *other* memory from the value — the
-      A/B snapshot flip bug class (DESIGN.md §12). The justification
-      requirement forces the author to state which camp a site is in,
-      reviewably, at the site.
+      reader infers anything about *other* memory from the value — e.g.
+      a snapshot pointer published with a relaxed store, so a reader
+      sees the pointer before the table behind it (DESIGN.md §12). The
+      justification requirement forces the author to state which camp a
+      site is in, reviewably, at the site.
 
 Suppression: `veridp-lint: allow(<rule>)` inside a comment on the
 offending line, or on a line above it within the same statement
