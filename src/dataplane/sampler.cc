@@ -11,8 +11,9 @@ bool FlowSampler::sample(const PacketHeader& flow, double t) {
 
   auto [it, inserted] =
       last_.try_emplace(flow, -std::numeric_limits<double>::infinity());
+  // The paper's rule is "sample when more than `interval` has passed".
   // Sample-everything mode (interval 0) must also catch back-to-back
-  // packets with equal timestamps, hence >= rather than the paper's >.
+  // packets with equal timestamps, so interval 0 samples unconditionally.
   const bool due = interval == 0.0 ? true : (t - it->second > interval);
   if (due) it->second = t;
   return due;

@@ -6,14 +6,28 @@
 // lookup mode that ignores priorities — modelling the HP ProCurve 5406zl
 // behaviour the paper cites (§2.2, "premature switch implementation") —
 // which the fault injector can enable.
+//
+// Lookup is tuple space search (Srinivasan et al., SIGCOMM '99), the
+// classifier Open vSwitch uses: rules are grouped by match shape, each
+// group is an exact-match hash table, and a lookup probes the groups in
+// rank order until no later group can hold a better rule. The index is
+// rebuilt lazily, in O(n), on the first lookup after a mutation.
+//
+// Thread safety: single-threaded by contract. `lookup` is const but may
+// rebuild the mutable index, so one table must not be looked up from two
+// threads at once. Every caller (the data plane, `logical_walk`, the
+// Localizer) runs on the control thread.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "flow/rule.hpp"
 
 namespace veridp {
+
+// veridp-lint: hot-path
 
 class FlowTable {
  public:
@@ -55,15 +69,50 @@ class FlowTable {
   [[nodiscard]] const std::vector<FlowRule>& rules() const { return rules_; }
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
   [[nodiscard]] bool empty() const { return rules_.empty(); }
-  void clear() { rules_.clear(); order_.clear(); }
+  void clear() {
+    rules_.clear();
+    order_.clear();
+    stale_ = true;
+  }
 
-  void ignore_priority(bool on) { ignore_priority_ = on; }
+  void ignore_priority(bool on) {
+    ignore_priority_ = on;
+    stale_ = true;
+  }
   [[nodiscard]] bool priority_ignored() const { return ignore_priority_; }
 
  private:
+  /// A ranked rule: its exact-match key (the masked header fields plus
+  /// in_port) and its index in rules_. A rule's rank is its position in
+  /// entries_: the order in which a first-match walk meets the rules.
+  struct Entry {
+    std::uint64_t ips = 0;      // src_ip << 32 | dst_ip
+    std::uint64_t l4 = 0;       // proto << 32 | src_port << 16 | dst_port
+    std::uint32_t in_port = 0;  // 0 unless the shape matches on in_port
+    std::uint32_t rule = 0;
+
+    [[nodiscard]] bool same_key(const Entry& o) const {
+      return ips == o.ips && l4 == o.l4 && in_port == o.in_port;
+    }
+  };
+  /// All rules of one shape (src/dst prefix lengths and which of proto,
+  /// ports and in_port are set): the shape's field masks and a flat
+  /// open-addressing table holding the best rank per key.
+  struct Tuple {
+    Entry mask;  // key fields only; `rule` is unused
+    std::uint32_t min_rank = 0;
+    std::vector<std::uint32_t> slots;  // ranks; kEmpty marks a free slot
+  };
+
+  void rebuild() const;
+
   std::vector<FlowRule> rules_;   // descending priority, stable
   std::vector<RuleId> order_;     // insertion order (for the broken mode)
   bool ignore_priority_ = false;
+  // The lookup index over rules_; rebuilt when stale_.
+  mutable std::vector<Entry> entries_;  // by rank
+  mutable std::vector<Tuple> tuples_;   // ascending min_rank
+  mutable bool stale_ = false;
 };
 
 }  // namespace veridp

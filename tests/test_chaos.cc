@@ -36,6 +36,11 @@ struct ChaosCase {
   double corrupt;
 };
 
+// Prints the case name; gtest's default printout is the raw struct bytes,
+// which embed the address of `name` and so changed the ctest name on every
+// discovery run under ASLR.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.name; }
+
 class ChaosSweep : public ::testing::TestWithParam<ChaosCase> {};
 
 // The tentpole acceptance test: sweep transport-fault rates while the

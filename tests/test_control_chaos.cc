@@ -43,6 +43,9 @@ struct CampaignCase {
   double corrupt;
 };
 
+// Prints the case name, not the raw struct bytes (see ChaosCase).
+void PrintTo(const CampaignCase& c, std::ostream* os) { *os << c.name; }
+
 class ControlChaos : public ::testing::TestWithParam<CampaignCase> {};
 
 /// Every regime transition must have crossed the matching hysteresis
@@ -195,8 +198,12 @@ TEST_P(ControlChaos, InvariantsHoldThroughFloodChurnAndWedge) {
   // Every recorded regime transition crossed the right hysteresis edge.
   check_transitions(governor.loop(), AdmissionRegime::kNormal);
 
-  if (tc.drop > 0.0) EXPECT_GT(h.lost_estimate, 0u);
-  if (tc.dup > 0.0) EXPECT_GT(h.deduped, 0u);
+  if (tc.drop > 0.0) {
+    EXPECT_GT(h.lost_estimate, 0u);
+  }
+  if (tc.dup > 0.0) {
+    EXPECT_GT(h.deduped, 0u);
+  }
   if (tc.corrupt > 0.0) {
     EXPECT_GT(h.quarantined, 0u);
     EXPECT_GE(h.quarantined, cs.corrupted);
