@@ -214,7 +214,6 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
   IngestConfig icfg;
   icfg.capacity = knobs_.ingest_capacity;
   icfg.high_watermark = knobs_.ingest_watermark;
-  icfg.batch_size = knobs_.ingest_batch_size;
   ReportIngest ingest(server, icfg);
   IngestGovernor governor(ingest);
   governor.set_sampling_sink(

@@ -64,11 +64,6 @@ struct CampaignKnobs {
   bool check_parallel = true;   ///< run the lane equality oracle
   unsigned parallel_workers = 2;
   int localize_budget = 4;      ///< failures localized per run (cold path)
-  /// IngestConfig::batch_size for the run's ingest (0 autotune, 1 the
-  /// scalar legacy path). Batching is verdict-identical by contract, so
-  /// the campaign trace digest must not depend on this knob — the
-  /// replay suite replays the corpus under several settings to prove it.
-  std::size_t ingest_batch_size = 0;
 };
 
 /// Verdict-kind observation bits (coverage dimension).

@@ -67,62 +67,36 @@ bool ReportIngest::offer_report(const TagReport& report) {
 }
 
 std::size_t ReportIngest::process(std::size_t max) {
-  const std::size_t batch = resolve_batch_size(cfg_.batch_size);
+  const std::size_t batch = autotuned_batch_size();
   const std::uint64_t memo_hits0 = server_->memo_hits();
+  verdicts_.resize(batch);
   std::size_t head = 0;  // verified prefix of the queue
-  std::size_t n = 0;
-  if (batch <= 1) {
-    // Pre-batching scalar pipeline (batch_size == 1): one
-    // Server::verify per report — the differential baseline.
-    while (n < max && head < queue_.size()) {
-      const TagReport report = queue_.report(head++);
-      account(report, server_->verify(report));
-      ++n;
-    }
-  } else {
-    verdicts_.resize(batch);
-    while (n < max && head < queue_.size()) {
-      const std::size_t chunk =
-          std::min({batch, max - n, queue_.size() - head});
-      server_->verify_batch(queue_, head, chunk, verdicts_.data());
-      for (std::size_t k = 0; k < chunk; ++k) {
-        // Lanes account in arrival order, exactly like the scalar loop;
-        // the TagReport is only reassembled for the cold consumers
-        // (sink, failure retention), never for a plain pass.
-        const Verdict& v = verdicts_[k];
-        if (verdict_sink_) {
-          account(queue_.report(head + k), v);
-        } else if (v.ok()) {
-          ++health_.passed;
-        } else if (v.status == VerifyStatus::kStaleEpoch) {
-          ++health_.stale;
-        } else {
-          ++health_.failed;
-          failures_.push_back(queue_.report(head + k));
-          if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-        }
+  while (head < max && head < queue_.size()) {
+    const std::size_t chunk =
+        std::min({batch, max - head, queue_.size() - head});
+    server_->verify_batch(queue_, head, chunk, verdicts_.data());
+    for (std::size_t k = 0; k < chunk; ++k) {
+      // Lanes account in arrival order. The TagReport is reassembled
+      // only for the cold consumers (sink, failure retention), never
+      // for a plain pass.
+      const Verdict& v = verdicts_[k];
+      if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
+      if (v.ok()) {
+        ++health_.passed;
+      } else if (v.status == VerifyStatus::kStaleEpoch) {
+        ++health_.stale;
+      } else {
+        ++health_.failed;
+        failures_.push_back(queue_.report(head + k));
+        if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
       }
-      head += chunk;
-      n += chunk;
     }
+    head += chunk;
   }
   queue_.consume_prefix(head);
-  health_.verified += n;
+  health_.verified += head;
   health_.memo_hits += server_->memo_hits() - memo_hits0;
-  return n;
-}
-
-void ReportIngest::account(const TagReport& report, const Verdict& v) {
-  if (verdict_sink_) verdict_sink_(report, v);
-  if (v.ok()) {
-    ++health_.passed;
-  } else if (v.status == VerifyStatus::kStaleEpoch) {
-    ++health_.stale;
-  } else {
-    ++health_.failed;
-    failures_.push_back(report);
-    if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-  }
+  return head;
 }
 
 IngestHealth ReportIngest::health() const {

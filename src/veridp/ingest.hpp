@@ -51,12 +51,6 @@ struct IngestConfig {
   std::uint32_t shed_modulus = 4;     ///< keep seq % modulus == 0 when shedding
   std::size_t dedup_window = 4096;    ///< remembered seqs per switch
   std::size_t failure_keep = 32;      ///< failed reports retained
-  /// Lanes per verify_epoch_aware_batch call in process(): 0 autotunes
-  /// (autotuned_batch_size()), 1 forces the pre-batching scalar path
-  /// (one Server::verify per report — the differential baseline), any
-  /// other value is used verbatim. Verdicts and health accounting are
-  /// identical across settings; only throughput differs.
-  std::size_t batch_size = 0;
 
   /// validate_admission over this config's bounds (admission.hpp):
   /// throws std::invalid_argument on a config that silently misbehaves.
@@ -93,9 +87,9 @@ class ReportIngest {
   /// report still goes through dedup/shedding, not quarantine).
   bool offer_report(const TagReport& report);
 
-  /// Verifies up to `max` queued reports — in batches of
-  /// config().batch_size lanes through Server::verify_batch (scalar
-  /// when batch_size == 1). Returns how many it verified.
+  /// Verifies up to `max` queued reports, in chunks of
+  /// autotuned_batch_size() lanes through Server::verify_batch.
+  /// Returns how many it verified.
   std::size_t process(std::size_t max = SIZE_MAX);
 
   /// Hands admission over to a control loop: from now on the commanded
@@ -141,10 +135,6 @@ class ReportIngest {
   /// Post-dedup admission decision shared by offer / offer_report:
   /// returns true iff the report should be queued (false: counted shed).
   bool admit(std::uint32_t seq);
-  /// Terminal accounting for one verified report: verdict sink, health
-  /// bucket, failure retention — shared by the scalar and batched
-  /// process paths.
-  void account(const TagReport& report, const Verdict& v);
 
   Server* server_;
   IngestConfig cfg_;

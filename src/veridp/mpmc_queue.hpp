@@ -52,21 +52,6 @@ class BoundedMpmcQueue {
     return true;
   }
 
-  /// Pops up to `max` items into `out` (cleared first). Blocks until at
-  /// least one item is available or the queue is closed. Returns the
-  /// number popped; 0 means closed-and-empty (consumer should exit).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max) EXCLUDES(mu_) {
-    out.clear();
-    MutexLock lk(mu_);
-    while (!closed_ && q_.empty()) not_empty_.wait(lk);
-    const std::size_t n = q_.size() < max ? q_.size() : max;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    return n;
-  }
-
   /// Pops up to `max` items into `out` (cleared first) WITHOUT blocking.
   /// Returns the number popped — 0 simply means "nothing available right
   /// now", closed or not. This is the work-stealing entry point: a
@@ -74,33 +59,21 @@ class BoundedMpmcQueue {
   /// thief must never sleep on a queue it does not own.
   std::size_t try_pop_batch(std::vector<T>& out, std::size_t max)
       EXCLUDES(mu_) {
-    out.clear();
     MutexLock lk(mu_);
-    const std::size_t n = q_.size() < max ? q_.size() : max;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    return n;
+    return pop_locked(out, max);
   }
 
-  /// pop_batch with a bounded wait: blocks until an item arrives, the
-  /// queue is closed, or `timeout` elapses. Returns the number popped
+  /// try_pop_batch with a bounded wait: blocks until an item arrives,
+  /// the queue is closed, or `timeout` elapses. Returns the number popped
   /// (0 on timeout or closed-and-empty — callers that need to tell the
   /// two apart re-check closed()/drained themselves).
   template <typename Rep, typename Period>
   std::size_t pop_batch_for(std::vector<T>& out, std::size_t max,
                             std::chrono::duration<Rep, Period> timeout)
       EXCLUDES(mu_) {
-    out.clear();
     MutexLock lk(mu_);
     if (!closed_ && q_.empty()) not_empty_.wait_for(lk, timeout);
-    const std::size_t n = q_.size() < max ? q_.size() : max;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(q_.front()));
-      q_.pop_front();
-    }
-    return n;
+    return pop_locked(out, max);
   }
 
   /// Marks `n` previously popped items as fully processed. Reporting
@@ -172,6 +145,17 @@ class BoundedMpmcQueue {
   }
 
  private:
+  /// Moves up to `max` items into `out` (cleared first).
+  std::size_t pop_locked(std::vector<T>& out, std::size_t max) REQUIRES(mu_) {
+    out.clear();
+    const std::size_t n = q_.size() < max ? q_.size() : max;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(std::move(q_.front()));
+      q_.pop_front();
+    }
+    return n;
+  }
+
   // Leaf of the declared lock hierarchy (tools/lock_order_extract.py):
   // lane ingest locks may be held while pushing here, never vice versa
   // (the same edge the Lane declares from its side — both directions

@@ -40,11 +40,8 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
     : controller_(&controller),
       cfg_(cfg),
       tag_bits_(tag_bits),
-      failure_queue_(cfg.failure_keep > 64 ? cfg.failure_keep : 64),
-      prof_(cfg.workers ? cfg.workers
-                        : (std::thread::hardware_concurrency()
-                               ? std::thread::hardware_concurrency()
-                               : 1)) {
+      worker_stats_(worker_count()),
+      prof_(worker_count()) {
   validate_admission(cfg_.queue_capacity, cfg_.high_watermark,
                      cfg_.shed_modulus);
   // One lane per worker; the global bounds split evenly so total queued
@@ -155,15 +152,10 @@ void ParallelServer::start() {
   if (running()) return;
   if (!synced_) sync();
   for (const auto& lane : lanes_) lane->q.open();
-  failure_queue_.open();
   const unsigned n = worker_count();
-  // Stats persist across start/stop cycles so health() stays cumulative.
-  while (worker_stats_.size() < n)
-    worker_stats_.push_back(std::make_unique<WorkerStats>());
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-  failure_consumer_ = std::thread([this] { failure_loop(); });
 }
 
 bool ParallelServer::submit(const TagReport& report) {
@@ -230,12 +222,12 @@ bool ParallelServer::all_lanes_drained() const {
 
 void ParallelServer::worker_loop(unsigned idx) {
   using clock = std::chrono::steady_clock;
-  WorkerStats& ws = *worker_stats_[idx];
-  WorkerProfile& wp = prof_.slot(idx % prof_.slots());
-  Lane& own = *lanes_[idx % lanes_.size()];
-  const std::size_t own_idx = idx % lanes_.size();
+  WorkerStats& ws = worker_stats_[idx];
+  WorkerProfile& wp = prof_.slot(idx);
+  Lane& own = *lanes_[idx];
   std::vector<TagReport> batch;
   batch.reserve(cfg_.batch_size);
+  std::vector<TagReport> mismatches;  ///< this batch's failed reports
   // Worker-local scratch for the batched verify kernel: the dequeued
   // reports are transposed into SoA lanes once per batch.
   ReportBatch soa;
@@ -257,7 +249,7 @@ void ParallelServer::worker_loop(unsigned idx) {
     if (n == 0) {
       // Dry lane: bounded rebalance — raid the deepest sibling once.
       WorkerProfile::bump(wp.steal_attempts);
-      if (Lane* victim = pick_victim(own_idx)) {
+      if (Lane* victim = pick_victim(idx)) {
         n = victim->q.try_pop_batch(batch, cfg_.batch_size);
         WorkerProfile::bump(wp.lock_acquisitions);
         if (n != 0) {
@@ -301,6 +293,7 @@ void ParallelServer::worker_loop(unsigned idx) {
     for (const TagReport& r : batch) soa.push(r);
     if (verdicts.size() < n) verdicts.resize(n);
     verify_epoch_aware_batch(soa, 0, n, tables, &memo, verdicts.data());
+    mismatches.clear();
     for (std::size_t k = 0; k < n; ++k) {
       const Verdict& v = verdicts[k];
       bump_relaxed(ws.verified);
@@ -310,11 +303,15 @@ void ParallelServer::worker_loop(unsigned idx) {
         bump_relaxed(ws.stale);
       } else {
         bump_relaxed(ws.failed);
-        // Hand the mismatch to the localization stage. Bounded: if the
-        // stage is hopelessly behind, overflow mismatches are dropped
-        // (they are still counted in `failed`).
-        failure_queue_.try_push(batch[k]);
+        mismatches.push_back(batch[k]);
       }
+    }
+    if (!mismatches.empty()) {
+      // Retained before task_done, so drain() waits on the lanes alone.
+      // No other lock is held here.
+      MutexLock lk(failures_mu_);
+      failures_.insert(failures_.end(), mismatches.begin(), mismatches.end());
+      while (failures_.size() > cfg_.failure_keep) failures_.pop_front();
     }
     bump_relaxed(ws.memo_hits, memo.hits() - hits_before);
     WorkerProfile::bump(wp.memo_hits, memo.hits() - hits_before);
@@ -333,39 +330,19 @@ void ParallelServer::worker_loop(unsigned idx) {
   WorkerProfile::bump(wp.cpu_ns, thread_cpu_now_ns() - cpu0);
 }
 
-void ParallelServer::failure_loop() {
-  std::vector<TagReport> batch;
-  for (;;) {
-    const std::size_t n = failure_queue_.pop_batch(batch, 16);
-    if (n == 0) return;
-    {
-      MutexLock lk(failures_mu_);
-      for (const TagReport& r : batch) {
-        failures_.push_back(r);
-        if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-      }
-    }
-    failure_queue_.task_done(n);
-  }
-}
-
 void ParallelServer::drain() {
-  // Workers push to the failure queue before task_done on their lane,
-  // so once every lane is idle every mismatch is already inside the
-  // failure queue; waiting on it second closes the pipeline.
+  // Workers retain a batch's mismatches before task_done on its lane,
+  // so idle lanes mean every mismatch is already in failures_.
   for (const auto& lane : lanes_) lane->q.wait_idle();
-  failure_queue_.wait_idle();
 }
 
 void ParallelServer::stop() {
-  if (workers_.empty() && !failure_consumer_.joinable()) return;
+  if (workers_.empty()) return;
   // Close every lane: workers drain the leftovers (stealing included),
   // then exit once all_lanes_drained().
   for (const auto& lane : lanes_) lane->q.close();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  failure_queue_.close();
-  if (failure_consumer_.joinable()) failure_consumer_.join();
 }
 
 std::size_t ParallelServer::queue_depth() const {
@@ -375,7 +352,7 @@ std::size_t ParallelServer::queue_depth() const {
 }
 
 std::uint64_t ParallelServer::queue_over_reported() const {
-  std::uint64_t n = failure_queue_.over_reported();
+  std::uint64_t n = 0;
   for (const auto& lane : lanes_) n += lane->q.over_reported();
   return n;
 }
@@ -391,12 +368,12 @@ IngestHealth ParallelServer::health() const {
     for (const auto& [sw, tracker] : lane->seq)
       h.lost_estimate += tracker.lost_estimate();
   }
-  for (const auto& ws : worker_stats_) {
-    h.verified += read_relaxed(ws->verified);
-    h.passed += read_relaxed(ws->passed);
-    h.failed += read_relaxed(ws->failed);
-    h.stale += read_relaxed(ws->stale);
-    h.memo_hits += read_relaxed(ws->memo_hits);
+  for (const WorkerStats& ws : worker_stats_) {
+    h.verified += read_relaxed(ws.verified);
+    h.passed += read_relaxed(ws.passed);
+    h.failed += read_relaxed(ws.failed);
+    h.stale += read_relaxed(ws.stale);
+    h.memo_hits += read_relaxed(ws.memo_hits);
   }
   h.in_queue = queue_depth();
   h.regime = static_cast<AdmissionRegime>(read_relaxed(regime_));
@@ -411,12 +388,6 @@ std::vector<TagReport> ParallelServer::take_failures() {
   std::vector<TagReport> out(failures_.begin(), failures_.end());
   failures_.clear();
   return out;
-}
-
-LocalizeResult ParallelServer::localize(const TagReport& report) const {
-  Localizer localizer(controller_->topology(),
-                      controller_->logical_configs());
-  return localizer.infer(report);
 }
 
 }  // namespace veridp

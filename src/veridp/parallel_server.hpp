@@ -11,10 +11,9 @@
 //                                                ▼
 //                             N workers, each: load snapshot (atomic
 //                             shared_ptr), verify_epoch_aware per report,
-//                             per-worker counters + profiler slot
-//                                                │ mismatches
-//                                                ▼
-//                             single-consumer localization stage
+//                             per-worker counters + profiler slot,
+//                             the batch's mismatches appended to the
+//                             retained failures (take_failures)
 //
 // Shard-affine dispatch (the fix for the flat PR-3 scaling curve): the
 // old pipeline funneled every producer and every worker through ONE
@@ -62,7 +61,7 @@
 // control-plane fields and the lock-free snapshot pointer are the two
 // documented-only exceptions, covered by the TSan suites):
 //   * control-plane side (ctor, sync, publish, rule events via the
-//     controller, localize, take_failures) — ONE thread;
+//     controller, take_failures) — ONE thread;
 //   * data-plane side (submit, submit_datagram) — any number of
 //     producer threads, concurrently with workers and with publish();
 //   * health() — any thread, merges per-lane/per-worker counters.
@@ -86,7 +85,6 @@
 #include "common/thread_annotations.hpp"
 #include "controller/controller.hpp"
 #include "veridp/admission.hpp"
-#include "veridp/localizer.hpp"
 #include "veridp/mpmc_queue.hpp"
 #include "veridp/seq_tracker.hpp"
 #include "veridp/verifier.hpp"
@@ -103,8 +101,8 @@ struct ParallelConfig {
   std::uint32_t shed_modulus = 4;    ///< keep seq % modulus == 0 when shedding
   /// Reports per worker dequeue — also the lane count handed to
   /// verify_epoch_aware_batch per snapshot load (one RCU read and one
-  /// batched kernel call per dequeue). 0 = autotuned_batch_size(), as
-  /// IngestConfig::batch_size.
+  /// batched kernel call per dequeue). 0 = autotuned_batch_size(), the
+  /// chunk the sequential ReportIngest always verifies in.
   std::size_t batch_size = 32;
   std::size_t dedup_window = 4096;   ///< remembered seqs per switch
   std::size_t failure_keep = 256;    ///< mismatched reports retained
@@ -182,15 +180,15 @@ class ParallelServer {
         regime_.load(std::memory_order_relaxed));
   }
 
-  /// Launches the worker pool and the localization-stage consumer.
+  /// Launches the worker pool: exactly worker_count() threads.
   void start();
   /// Offers one decoded report: lane-affine dedup → shed check → lane
   /// queue. Returns true iff enqueued for verification. Thread-safe.
   bool submit(const TagReport& report);
   /// Offers one encoded datagram (decode failures count as quarantined).
   bool submit_datagram(const std::vector<std::uint8_t>& datagram);
-  /// Blocks until every submitted report has been verified and every
-  /// mismatch has cleared the localization stage. Producers must be
+  /// Blocks until every submitted report has been verified and its
+  /// mismatch, if any, retained for take_failures(). Producers must be
   /// quiescent.
   void drain();
   /// drain() + joins the pool. Idempotent; start() may be called again.
@@ -198,23 +196,16 @@ class ParallelServer {
 
   [[nodiscard]] IngestHealth health() const;
 
-  /// Drains the mismatches the localization stage retained (bounded by
-  /// failure_keep). Control thread only.
+  /// Drains the retained mismatches, oldest first: the most recent
+  /// failure_keep across every worker. They are the inputs for
+  /// Algorithm 4 (Server::localize). Control thread only.
   std::vector<TagReport> take_failures() EXCLUDES(failures_mu_);
-
-  /// Runs Algorithm 4 for a failed report against the controller's
-  /// *current* logical config. Control thread only, config quiescent.
-  [[nodiscard]] LocalizeResult localize(const TagReport& report) const;
 
   [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
     return snap_.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
   [[nodiscard]] bool epoch_checking() const { return epochs_.checking; }
-  [[nodiscard]] std::uint64_t snapshots_published() const {
-    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
-    return published_.load(std::memory_order_relaxed);
-  }
   /// Total undispatched reports across all lanes.
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] bool running() const { return !workers_.empty(); }
@@ -228,9 +219,9 @@ class ParallelServer {
   [[nodiscard]] const ScalProfiler& profiler() const { return prof_; }
   [[nodiscard]] ScalProfiler& profiler() { return prof_; }
 
-  /// Cumulative task_done over-reports across every lane queue and the
-  /// failure queue. Always 0 unless a consumer double-accounts; the
-  /// lifecycle tests assert it stays 0.
+  /// Cumulative task_done over-reports across every lane queue. Always
+  /// 0 unless a consumer double-accounts; the lifecycle tests assert it
+  /// stays 0.
   [[nodiscard]] std::uint64_t queue_over_reported() const;
 
  private:
@@ -280,7 +271,6 @@ class ParallelServer {
   Lane* pick_victim(std::size_t own);
   [[nodiscard]] bool all_lanes_drained() const;
   void worker_loop(unsigned idx);
-  void failure_loop();
 
   Controller* controller_;
   ParallelConfig cfg_;
@@ -310,15 +300,16 @@ class ParallelServer {
   std::atomic<std::uint32_t> shed_modulus_;  ///< last commanded, or cfg's
   std::atomic<std::uint64_t> regime_transitions_{0};
 
-  // Data-plane pipeline.
+  // Data-plane pipeline: one lane, one stats slot and one profiler slot
+  // per worker, all sized in the constructor so health() never races
+  // start().
   std::vector<std::unique_ptr<Lane>> lanes_;
-  BoundedMpmcQueue<TagReport> failure_queue_;
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
+  std::vector<WorkerStats> worker_stats_;
   std::vector<std::thread> workers_;
-  std::thread failure_consumer_;
   ScalProfiler prof_;
 
-  // Localization-stage output (cold path, mutex-guarded).
+  // Retained mismatches (cold path). Workers take the lock once per
+  // batch that failed, holding no other lock.
   mutable Mutex failures_mu_{"ParallelServer::failures_mu"};
   std::deque<TagReport> failures_ GUARDED_BY(failures_mu_);
 };

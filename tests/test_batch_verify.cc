@@ -5,12 +5,16 @@
 // counters — across every Verdict kind, every batch size, and the
 // epoch-edge fallbacks (kStaleEpoch, grace window, ahead-of-table
 // failsafe). Also covers the batch kernels the pipeline rides on
-// (eval_packed_many) and the ingest-level equality of batch_size
-// settings including shed / malformed / dedup flows.
+// (eval_packed_many) and the ingest-level equality of the batched
+// ingest with a one-verify-per-report reference, including shed /
+// malformed / dedup flows.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -294,10 +298,12 @@ TEST(BatchVerify, ServerVerifyBatchMatchesScalarServer) {
 }
 
 // Ingest-level equality: the same offer stream (valid, malformed,
-// duplicate-seq and overflow datagrams) through batch_size 1 (scalar
-// legacy), 0 (autotune) and a deliberately awkward 5 must produce the
-// same health ledger — passed/stale/failed AND shed/quarantined/deduped
-// — and the same retained failures.
+// duplicate-seq and overflow datagrams) through the production ingest,
+// drained in uneven process(16) / process(64) chunks, and through a
+// scalar reference written out here (one Server::verify per admitted
+// report, batch size 1) must produce the same health ledger —
+// passed/stale/failed AND shed/quarantined/deduped — the same verdict
+// sequence and the same retained failures.
 TEST(BatchVerify, IngestHealthIdenticalAcrossBatchSizes) {
   Topology topo = fat_tree(4);
   Controller c(topo);
@@ -323,46 +329,111 @@ TEST(BatchVerify, IngestHealthIdenticalAcrossBatchSizes) {
     }
   }
 
-  auto run = [&](std::size_t batch_size) {
+  IngestConfig icfg;
+  icfg.capacity = 64;  // small: overflow forces shedding
+  icfg.high_watermark = 32;
+  icfg.failure_keep = 8;  // below the failure count: trimming runs
+  // The reference dedups with an exact set, which matches the ingest's
+  // windowed tracker only while no switch outgrows the window.
+  ASSERT_LT(datagrams.size(), icfg.dedup_window);
+
+  struct Run {
+    IngestHealth health;
+    std::vector<VerifyStatus> sunk;
+    std::vector<std::uint32_t> failures;  ///< retained, by seq
+  };
+
+  auto production = [&] {
     Server server(c, Server::Mode::kFullRebuild);
     server.sync();
-    IngestConfig icfg;
-    icfg.capacity = 64;  // small: overflow forces shedding
-    icfg.high_watermark = 32;
-    icfg.batch_size = batch_size;
     ReportIngest ingest(server, icfg);
-    std::vector<VerifyStatus> sunk;
-    ingest.set_verdict_sink(
-        [&sunk](const TagReport&, const Verdict& v) {
-          sunk.push_back(v.status);
-        });
+    Run run;
+    ingest.set_verdict_sink([&run](const TagReport&, const Verdict& v) {
+      run.sunk.push_back(v.status);
+    });
     for (const auto& dg : datagrams) {
       ingest.offer(dg);
       if (ingest.health().in_queue >= 48) (void)ingest.process(16);
     }
     while (ingest.process(64) > 0) {
     }
-    return std::pair(ingest.health(), sunk);
+    run.health = ingest.health();
+    for (const TagReport& r : ingest.recent_failures())
+      run.failures.push_back(r.seq);
+    return run;
   };
 
-  const auto [h1, s1] = run(1);
-  const auto [h0, s0] = run(0);
-  const auto [h5, s5] = run(5);
+  // Scalar reference: quarantine, per-switch dedup and watermark
+  // shedding written out longhand, then one Server::verify per admitted
+  // report in arrival order.
+  auto reference = [&] {
+    Server server(c, Server::Mode::kFullRebuild);
+    server.sync();
+    Run run;
+    IngestHealth& h = run.health;
+    std::deque<TagReport> queue;
+    std::deque<std::uint32_t> failures;
+    std::set<std::pair<SwitchId, std::uint32_t>> seen;
+    auto process = [&](std::size_t max) {
+      std::size_t n = 0;
+      for (; n < max && !queue.empty(); ++n) {
+        const Verdict v = server.verify(queue.front());
+        run.sunk.push_back(v.status);
+        ++h.verified;
+        if (v.ok()) {
+          ++h.passed;
+        } else if (v.status == VerifyStatus::kStaleEpoch) {
+          ++h.stale;
+        } else {
+          ++h.failed;
+          failures.push_back(queue.front().seq);
+          if (failures.size() > icfg.failure_keep) failures.pop_front();
+        }
+        queue.pop_front();
+      }
+      return n;
+    };
+    for (const auto& dg : datagrams) {
+      ++h.received;
+      const auto r = wire::decode_report(dg);
+      if (!r) {
+        ++h.quarantined;
+      } else if (r->seq != 0 && !seen.emplace(r->outport.sw, r->seq).second) {
+        ++h.deduped;
+      } else if (queue.size() >= icfg.capacity ||
+                 (queue.size() >= icfg.high_watermark &&
+                  r->seq % icfg.shed_modulus != 0)) {
+        ++h.shed;
+      } else {
+        queue.push_back(*r);
+      }
+      if (queue.size() >= 48) (void)process(16);
+    }
+    while (process(64) > 0) {
+    }
+    run.failures.assign(failures.begin(), failures.end());
+    return run;
+  };
 
-  EXPECT_GT(h1.shed, 0u) << "stream too small to trigger shedding";
-  EXPECT_GT(h1.quarantined, 0u);
-  EXPECT_GT(h1.deduped, 0u);
-  for (const IngestHealth& h : {h0, h5}) {
-    EXPECT_EQ(h.received, h1.received);
-    EXPECT_EQ(h.passed, h1.passed);
-    EXPECT_EQ(h.stale, h1.stale);
-    EXPECT_EQ(h.failed, h1.failed);
-    EXPECT_EQ(h.shed, h1.shed);
-    EXPECT_EQ(h.quarantined, h1.quarantined);
-    EXPECT_EQ(h.deduped, h1.deduped);
-  }
-  EXPECT_EQ(s0, s1);
-  EXPECT_EQ(s5, s1);
+  const Run want = reference();
+  const Run got = production();
+
+  EXPECT_GT(want.health.shed, 0u) << "stream too small to trigger shedding";
+  EXPECT_GT(want.health.quarantined, 0u);
+  EXPECT_GT(want.health.deduped, 0u);
+  EXPECT_GT(want.health.failed, icfg.failure_keep)
+      << "retention must be exercised past failure_keep";
+  EXPECT_EQ(got.health.received, want.health.received);
+  EXPECT_EQ(got.health.verified, want.health.verified);
+  EXPECT_EQ(got.health.passed, want.health.passed);
+  EXPECT_EQ(got.health.stale, want.health.stale);
+  EXPECT_EQ(got.health.failed, want.health.failed);
+  EXPECT_EQ(got.health.shed, want.health.shed);
+  EXPECT_EQ(got.health.quarantined, want.health.quarantined);
+  EXPECT_EQ(got.health.deduped, want.health.deduped);
+  EXPECT_TRUE(got.health.conserved());
+  EXPECT_EQ(got.sunk, want.sunk);
+  EXPECT_EQ(got.failures, want.failures);
 }
 
 TEST(BatchVerify, EvalPackedManyMatchesEvalWith) {

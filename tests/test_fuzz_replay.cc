@@ -87,27 +87,6 @@ TEST(FuzzReplay, CheckedInCorpusReplaysWithoutDivergence) {
   }
 }
 
-TEST(FuzzReplay, CorpusDigestsUnchangedByIngestBatching) {
-  // The batched verification pipeline is verdict-identical by contract
-  // (DESIGN.md §11), so replaying the corpus with the scalar legacy
-  // path (batch_size 1), the autotuned batch (0) and an awkward odd
-  // size must reproduce the recorded trace digests byte for byte.
-  const auto paths = list_corpus(VERIDP_FUZZ_CORPUS_DIR);
-  ASSERT_FALSE(paths.empty());
-  for (const std::size_t batch :
-       {std::size_t{1}, std::size_t{0}, std::size_t{7}}) {
-    CampaignKnobs knobs;
-    knobs.ingest_batch_size = batch;
-    const CampaignRunner runner(knobs);
-    for (const std::string& path : paths) {
-      const auto entry = load_entry(path);
-      ASSERT_TRUE(entry.has_value()) << path;
-      EXPECT_EQ(runner.run(entry->schedule).digest, entry->digest)
-          << entry->name << " diverged with batch_size " << batch;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace fuzz
 }  // namespace veridp

@@ -19,7 +19,7 @@ TEST(MpmcQueue, TaskDoneExactAccountingReachesIdle) {
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8), 2u);
+  EXPECT_EQ(q.try_pop_batch(out, 8), 2u);
   q.task_done(2);
   q.wait_idle();  // returns immediately: all pushed items processed
   EXPECT_EQ(q.over_reported(), 0u);
@@ -32,7 +32,7 @@ TEST(MpmcQueue, TaskDoneOverReportIsLoudNotSilent) {
   BoundedMpmcQueue<int> q(8);
   EXPECT_TRUE(q.try_push(7));
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8), 1u);
+  EXPECT_EQ(q.try_pop_batch(out, 8), 1u);
 #ifdef NDEBUG
   q.task_done(3);  // 2 more than outstanding
   EXPECT_EQ(q.over_reported(), 2u);
@@ -52,10 +52,11 @@ TEST(MpmcQueue, CloseRejectsPushesButDrainsQueuedItems) {
   EXPECT_FALSE(q.try_push(2));
   EXPECT_FALSE(q.drained()) << "closed but not yet empty";
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 1u);  // queued item survives close
+  EXPECT_EQ(q.try_pop_batch(out, 4), 1u);  // queued item survives close
   EXPECT_EQ(out.front(), 1);
   EXPECT_TRUE(q.drained());
-  EXPECT_EQ(q.pop_batch(out, 4), 0u) << "closed-and-empty: consumer exits";
+  EXPECT_EQ(q.pop_batch_for(out, 4, std::chrono::hours(1)), 0u)
+      << "closed-and-empty: consumer exits without waiting";
 }
 
 TEST(MpmcQueue, OpenRearmsAfterClose) {
@@ -66,7 +67,7 @@ TEST(MpmcQueue, OpenRearmsAfterClose) {
   EXPECT_FALSE(q.closed());
   EXPECT_TRUE(q.try_push(1)) << "open() must re-admit work";
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 1u);
+  EXPECT_EQ(q.try_pop_batch(out, 4), 1u);
   q.task_done(1);
   q.wait_idle();
   EXPECT_EQ(q.over_reported(), 0u);
@@ -111,7 +112,7 @@ TEST(MpmcQueue, CapacityBoundIsHard) {
   EXPECT_FALSE(q.try_push(3)) << "full: caller sheds";
   std::vector<int> out;
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop_batch(out, 8), 2u);
+  EXPECT_EQ(q.try_pop_batch(out, 8), 2u);
   q.task_done(2);
 }
 

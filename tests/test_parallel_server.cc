@@ -9,6 +9,7 @@
 // `concurrency` ctest label and runs under the TSan preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <unordered_map>
@@ -447,7 +448,7 @@ TEST(ParallelServer, MemoHitsStayInsideTheVerifiedLedger) {
       << "health ledger and profiler attribution agree";
 }
 
-// batch_size = 0 means "autotune", as IngestConfig::batch_size does; it
+// batch_size = 0 means "autotune" (the sequential ingest's chunk); it
 // must not fall back to one report per dequeue.
 TEST(ParallelServer, ZeroBatchSizeAutotunesLikeTheIngest) {
   Rig rig(linear(3));
@@ -588,12 +589,46 @@ TEST(ParallelServer, SnapshotSwapMidStreamKeepsVerdictsConsistent) {
   EXPECT_EQ(h.failed, 0u) << "swaps must never surface as inconsistency";
   EXPECT_EQ(h.stale, 0u) << "every old epoch is covered by the ring";
   EXPECT_EQ(h.passed, h.received);
-  EXPECT_GE(parallel.snapshots_published(), 6u);
+  EXPECT_GE(h.snapshot_flips, 6u);
   EXPECT_GE(parallel.snapshot()->ranges.size(), 1u);
 }
 
-TEST(ParallelServer, MismatchesFeedSingleConsumerLocalizationStage) {
-  Rig rig(linear(5));
+/// A linear(5) deployment whose middle switch forwards one rule out the
+/// wrong port, so part of the ping matrix fails verification.
+struct FaultyRig : Rig {
+  FaultyRig() : Rig(linear(5)) {}
+
+  /// Breaks the middle switch and returns one ping matrix of reports.
+  /// Call after install_and_deploy() and the servers' sync().
+  std::vector<TagReport> break_middle_switch() {
+    FaultInjector inject(net);
+    const SwitchId mid = 2;
+    const auto& rules = net.at(mid).config().table.rules();
+    if (rules.empty()) {
+      ADD_FAILURE() << "no rule to break on the middle switch";
+      return {};
+    }
+    inject.rewrite_rule_output(mid, rules.front().id,
+                               rules.front().action.out == 1 ? 2 : 1);
+    return collect_reports();
+  }
+};
+
+/// Every retained report must be a real mismatch: it fails (not merely
+/// goes stale) against the sequential server.
+void expect_all_fail(Server& oracle, const std::vector<TagReport>& kept) {
+  for (const TagReport& r : kept) {
+    const Verdict v = oracle.verify(r);
+    EXPECT_FALSE(v.ok());
+    EXPECT_NE(v.status, VerifyStatus::kStaleEpoch);
+  }
+}
+
+// Workers retain their batch's mismatches themselves, before task_done,
+// so drain() alone guarantees take_failures() sees every one of them —
+// and keeps doing so after the pool restarts.
+TEST(ParallelServer, WorkersRetainEveryMismatchBeforeDrainReturns) {
+  FaultyRig rig;
   Server oracle(rig.controller, Server::Mode::kFullRebuild);
   ParallelConfig cfg;
   cfg.workers = 2;
@@ -602,33 +637,105 @@ TEST(ParallelServer, MismatchesFeedSingleConsumerLocalizationStage) {
   rig.install_and_deploy();
   oracle.sync();
   parallel.sync();
-
-  // Break a middle switch so sampled packets deviate.
-  FaultInjector inject(rig.net);
-  const SwitchId mid = 2;
-  const auto& rules = rig.net.at(mid).config().table.rules();
-  ASSERT_FALSE(rules.empty());
-  inject.rewrite_rule_output(mid, rules.front().id,
-                             rules.front().action.out == 1 ? 2 : 1);
-  const std::vector<TagReport> reports = rig.collect_reports();
+  const std::vector<TagReport> reports = rig.break_middle_switch();
 
   parallel.start();
   for (const TagReport& r : reports) parallel.submit(r);
   parallel.drain();
-  parallel.stop();
-
   const IngestHealth h = parallel.health();
   ASSERT_GT(h.failed, 0u);
   const std::vector<TagReport> failures = parallel.take_failures();
   EXPECT_EQ(failures.size(), static_cast<std::size_t>(h.failed))
-      << "every mismatch reaches the localization stage";
-  // The stage's output feeds Algorithm 4 exactly like the sequential
-  // server's recent_failures path.
-  const LocalizeResult par = parallel.localize(failures.front());
-  const LocalizeResult seq = oracle.localize(failures.front());
-  EXPECT_EQ(par.candidates.size(), seq.candidates.size());
+      << "every mismatch is retained by the time drain() returns";
+  expect_all_fail(oracle, failures);
   // Drained: a second take returns nothing.
   EXPECT_TRUE(parallel.take_failures().empty());
+
+  // stop() → start() → drain(): the restarted pool retains the second
+  // pass's mismatches the same way.
+  parallel.stop();
+  parallel.start();
+  for (TagReport r : reports) {
+    r.seq = 0;  // the first pass already noted these seqs
+    parallel.submit(r);
+  }
+  parallel.drain();
+  const IngestHealth h2 = parallel.health();
+  EXPECT_EQ(h2.failed, 2 * h.failed);
+  const std::vector<TagReport> again = parallel.take_failures();
+  EXPECT_EQ(again.size(), static_cast<std::size_t>(h.failed));
+  expect_all_fail(oracle, again);
+  parallel.stop();
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+}
+
+// Retention is exact at the bound: with more mismatches than
+// failure_keep, spread over many batches of two workers, exactly
+// failure_keep are kept — none dropped below it, none kept above it.
+TEST(ParallelServer, FailureRetentionIsExactAtFailureKeep) {
+  FaultyRig rig;
+  Server oracle(rig.controller, Server::Mode::kFullRebuild);
+  ParallelConfig cfg = never_shed(2);
+  cfg.batch_size = 4;
+  cfg.failure_keep = 5;
+  ParallelServer parallel(rig.controller, cfg);
+  rig.install_and_deploy();
+  oracle.sync();
+  parallel.sync();
+  const std::vector<TagReport> reports = rig.break_middle_switch();
+
+  // Queued before start() so the workers find deep lanes; seq 0 skips
+  // dedup so every copy is verified.
+  constexpr int kCopies = 8;
+  for (int copy = 0; copy < kCopies; ++copy)
+    for (TagReport r : reports) {
+      r.seq = 0;
+      ASSERT_TRUE(parallel.submit(r));
+    }
+  parallel.start();
+  parallel.drain();
+
+  const IngestHealth h = parallel.health();
+  ASSERT_GT(h.failed, cfg.failure_keep);
+  EXPECT_GT(parallel.profiler().totals().batches, 2u);
+  const std::vector<TagReport> kept = parallel.take_failures();
+  EXPECT_EQ(kept.size(), std::min<std::size_t>(h.failed, cfg.failure_keep));
+  expect_all_fail(oracle, kept);
+  EXPECT_TRUE(parallel.take_failures().empty());
+  parallel.stop();
+}
+
+// health() may be called from any thread, including while the control
+// thread starts and stops the pool: the per-worker stats it merges are
+// allocated with the lanes, never by start().
+TEST(ParallelServer, HealthIsSafeToPollWhileThePoolRestarts) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(2));
+  rig.install_and_deploy();
+  parallel.sync();
+  const std::vector<TagReport> reports = rig.collect_reports();
+
+  // Mid-run merges are advisory (a popped report is in no bucket yet),
+  // so the poller only has to survive; TSan checks the rest.
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire))
+      (void)parallel.health();
+  });
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    parallel.start();
+    for (TagReport r : reports) {
+      r.seq = 0;
+      parallel.submit(r);
+    }
+    parallel.drain();
+    parallel.stop();
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+  const IngestHealth h = parallel.health();
+  EXPECT_EQ(h.verified, 3 * reports.size());
+  EXPECT_TRUE(h.conserved());
 }
 
 // Failsafe parity: a wedged snapshot publisher must degrade

@@ -105,6 +105,70 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// --seed, default 7.
+std::uint64_t seed_flag(int argc, char** argv) {
+  const char* seed = flag_value(argc, argv, "--seed");
+  return seed ? static_cast<std::uint64_t>(std::atoll(seed)) : 7;
+}
+
+/// --loss/--dup/--reorder/--corrupt rates (atof) and --seed.
+ChannelConfig channel_flags(int argc, char** argv) {
+  ChannelConfig ccfg;
+  const auto rate = [&](const char* flag, double* out) {
+    if (const char* v = flag_value(argc, argv, flag)) *out = std::atof(v);
+  };
+  rate("--loss", &ccfg.drop_rate);
+  rate("--dup", &ccfg.dup_rate);
+  rate("--reorder", &ccfg.reorder_rate);
+  rate("--corrupt", &ccfg.corrupt_rate);
+  ccfg.seed = seed_flag(argc, argv);
+  return ccfg;
+}
+
+/// The --fault kinds; usage() lists the same names.
+bool known_fault(const std::string& kind) {
+  for (const char* k :
+       {"drop-rule", "blackhole", "rewire", "external", "priority"})
+    if (kind == k) return true;
+  return false;
+}
+
+/// Injects fault `kind` (a known_fault) on a seeded random rule:
+/// switches are drawn until one has rules. Prints the fault; returns
+/// false if no switch has any rule.
+bool inject_fault(const std::string& kind, const Topology& topo,
+                  Network& net, Rng& rng) {
+  FaultInjector inject(net);
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const SwitchId sw = static_cast<SwitchId>(rng.index(topo.num_switches()));
+    const auto& rules = net.at(sw).config().table.rules();
+    if (rules.empty()) continue;
+    const FlowRule& victim = rules[rng.index(rules.size())];
+    const RuleId id = victim.id;
+    const PortId victim_out = victim.action.out;
+    if (kind == "drop-rule") {
+      inject.drop_rule(sw, id);
+    } else if (kind == "blackhole") {
+      inject.replace_with_drop(sw, id);
+    } else if (kind == "rewire") {
+      PortId wrong = static_cast<PortId>(1 + rng.index(topo.num_ports(sw)));
+      if (wrong == victim_out) wrong = wrong == 1 ? 2 : wrong - 1;
+      inject.rewrite_rule_output(sw, id, wrong);
+    } else if (kind == "external") {
+      inject.insert_external_rule(
+          sw, FlowRule{999999, 100000, Match::any(),
+                       Action::output(static_cast<PortId>(
+                           1 + rng.index(topo.num_ports(sw))))});
+    } else {
+      inject.ignore_priority(sw);
+    }
+    std::printf("fault: %s\n", inject.history().back().describe().c_str());
+    return true;
+  }
+  std::fprintf(stderr, "no rules installed?\n");
+  return false;
+}
+
 int cmd_topo(const Topology& topo) {
   std::printf("switches: %zu, links: %zu, edge ports: %zu, subnets: %zu\n",
               topo.num_switches(), topo.num_links(),
@@ -154,46 +218,7 @@ int cmd_monitor(Topology topo, const std::string& fault_kind,
   Network net(topo);
   c.deploy(net);
   Rng rng(seed);
-  FaultInjector inject(net);
-
-  // Pick a victim rule on a switch that has any.
-  SwitchId sw = kNoSwitch;
-  RuleId victim = kNoRule;
-  PortId victim_out = kDropPort;
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const SwitchId cand = static_cast<SwitchId>(rng.index(topo.num_switches()));
-    const auto& rules = net.at(cand).config().table.rules();
-    if (rules.empty()) continue;
-    const FlowRule& r = rules[rng.index(rules.size())];
-    sw = cand;
-    victim = r.id;
-    victim_out = r.action.out;
-    break;
-  }
-  if (sw == kNoSwitch) {
-    std::fprintf(stderr, "no rules installed?\n");
-    return 1;
-  }
-
-  if (fault_kind == "drop-rule") {
-    inject.drop_rule(sw, victim);
-  } else if (fault_kind == "blackhole") {
-    inject.replace_with_drop(sw, victim);
-  } else if (fault_kind == "rewire") {
-    PortId wrong = static_cast<PortId>(1 + rng.index(topo.num_ports(sw)));
-    if (wrong == victim_out) wrong = wrong == 1 ? 2 : wrong - 1;
-    inject.rewrite_rule_output(sw, victim, wrong);
-  } else if (fault_kind == "external") {
-    inject.insert_external_rule(
-        sw, FlowRule{999999, 100000, Match::any(),
-                     Action::output(static_cast<PortId>(
-                         1 + rng.index(topo.num_ports(sw))))});
-  } else if (fault_kind == "priority") {
-    inject.ignore_priority(sw);
-  } else {
-    return usage();
-  }
-  std::printf("fault: %s\n", inject.history().back().describe().c_str());
+  if (!inject_fault(fault_kind, topo, net, rng)) return 1;
 
   std::size_t failures = 0, localized = 0;
   std::optional<TagReport> first;
@@ -256,44 +281,12 @@ int cmd_chaos(Topology topo, const ChannelConfig& ccfg, int rounds,
       [&net](double factor) { net.command_sampling(factor); });
 
   Rng rng(seed);
-  FaultInjector inject(net);
-  bool fault_armed = fault_kind != nullptr;
   const auto flows = workload::ping_all(topo);
   for (int round = 0; round < rounds; ++round) {
-    if (fault_armed && round == rounds / 2) {
-      // Inject the switch fault halfway so clean and faulty reports mix.
-      const SwitchId sw =
-          static_cast<SwitchId>(rng.index(topo.num_switches()));
-      const auto& rules = net.at(sw).config().table.rules();
-      if (!rules.empty()) {
-        const FlowRule& victim = rules[rng.index(rules.size())];
-        const std::string kind = fault_kind;
-        bool done = true;
-        if (kind == "drop-rule") {
-          inject.drop_rule(sw, victim.id);
-        } else if (kind == "blackhole") {
-          inject.replace_with_drop(sw, victim.id);
-        } else if (kind == "rewire") {
-          PortId wrong = static_cast<PortId>(1 + rng.index(topo.num_ports(sw)));
-          if (wrong == victim.action.out) wrong = wrong == 1 ? 2 : wrong - 1;
-          inject.rewrite_rule_output(sw, victim.id, wrong);
-        } else if (kind == "priority") {
-          inject.ignore_priority(sw);
-        } else if (kind == "external") {
-          inject.insert_external_rule(
-              sw, FlowRule{999999, 100000, Match::any(),
-                           Action::output(static_cast<PortId>(
-                               1 + rng.index(topo.num_ports(sw))))});
-        } else {
-          return usage();
-        }
-        if (done) {
-          std::printf("fault: %s\n",
-                      inject.history().back().describe().c_str());
-          fault_armed = false;
-        }
-      }
-    }
+    // Inject the switch fault halfway so clean and faulty reports mix.
+    if (fault_kind != nullptr && round == rounds / 2 &&
+        !inject_fault(fault_kind, topo, net, rng))
+      return 1;
 
     for (const auto& f : flows) {
       const auto r = net.inject(f.header, f.entry, /*t=*/round);
@@ -390,37 +383,11 @@ int cmd_parallel(Topology topo, const ChannelConfig& ccfg, int rounds,
   c.deploy(net);
   net.set_config_epoch(c.epoch());
 
+  // First-round fault: its reports carry the sync epoch, so the
+  // mismatches are judged definitively against the retired ring table.
   Rng rng(seed);
-  FaultInjector inject(net);
-  if (fault_kind != nullptr) {
-    // First-round fault: its reports carry the sync epoch, so the
-    // mismatches are judged definitively against the retired ring table.
-    const SwitchId sw = static_cast<SwitchId>(rng.index(topo.num_switches()));
-    const auto& rules = net.at(sw).config().table.rules();
-    if (!rules.empty()) {
-      const FlowRule& victim = rules[rng.index(rules.size())];
-      const std::string kind = fault_kind;
-      if (kind == "drop-rule") {
-        inject.drop_rule(sw, victim.id);
-      } else if (kind == "blackhole") {
-        inject.replace_with_drop(sw, victim.id);
-      } else if (kind == "rewire") {
-        PortId wrong = static_cast<PortId>(1 + rng.index(topo.num_ports(sw)));
-        if (wrong == victim.action.out) wrong = wrong == 1 ? 2 : wrong - 1;
-        inject.rewrite_rule_output(sw, victim.id, wrong);
-      } else if (kind == "priority") {
-        inject.ignore_priority(sw);
-      } else if (kind == "external") {
-        inject.insert_external_rule(
-            sw, FlowRule{999999, 100000, Match::any(),
-                         Action::output(static_cast<PortId>(
-                             1 + rng.index(topo.num_ports(sw))))});
-      } else {
-        return usage();
-      }
-      std::printf("fault: %s\n", inject.history().back().describe().c_str());
-    }
-  }
+  if (fault_kind != nullptr && !inject_fault(fault_kind, topo, net, rng))
+    return 1;
 
   ReportChannel channel(ccfg);
   const auto flows = workload::ping_all(topo);
@@ -815,6 +782,9 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "fuzz") == 0)
     return cmd_fuzz(argc, argv);
   if (argc < 3) return usage();
+  // An unknown --fault kind fails before anything is built or run.
+  const char* fault = flag_value(argc, argv, "--fault");
+  if (fault != nullptr && !known_fault(fault)) return usage();
   const std::string cmd = argv[1];
   auto topo = make_topo(argv[2]);
   if (!topo) return usage();
@@ -826,71 +796,33 @@ int main(int argc, char** argv) {
                          n ? static_cast<std::size_t>(std::atoll(n)) : 0);
   }
   if (cmd == "monitor") {
-    const char* kind = flag_value(argc, argv, "--fault");
-    if (!kind) return usage();
-    const char* seed = flag_value(argc, argv, "--seed");
-    return cmd_monitor(std::move(*topo), kind,
-                       seed ? static_cast<std::uint64_t>(std::atoll(seed)) : 7,
+    if (fault == nullptr) return usage();
+    return cmd_monitor(std::move(*topo), fault, seed_flag(argc, argv),
                        has_flag(argc, argv, "--repair"));
   }
+  const ChannelConfig ccfg = channel_flags(argc, argv);
   if (cmd == "chaos") {
-    ChannelConfig ccfg;
-    auto rate = [&](const char* flag, double* out) {
-      if (const char* v = flag_value(argc, argv, flag)) *out = std::atof(v);
-    };
-    rate("--loss", &ccfg.drop_rate);
-    rate("--dup", &ccfg.dup_rate);
-    rate("--reorder", &ccfg.reorder_rate);
-    rate("--corrupt", &ccfg.corrupt_rate);
-    const char* seed = flag_value(argc, argv, "--seed");
-    const std::uint64_t s =
-        seed ? static_cast<std::uint64_t>(std::atoll(seed)) : 7;
-    ccfg.seed = s;
     const char* rounds = flag_value(argc, argv, "--rounds");
     const char* updates = flag_value(argc, argv, "--updates");
     return cmd_chaos(std::move(*topo), ccfg,
                      rounds ? std::atoi(rounds) : 4,
                      updates ? static_cast<std::size_t>(std::atoll(updates)) : 3,
-                     s, flag_value(argc, argv, "--fault"));
+                     ccfg.seed, fault);
   }
   if (cmd == "parallel") {
-    ChannelConfig ccfg;
-    auto rate = [&](const char* flag, double* out) {
-      if (const char* v = flag_value(argc, argv, flag)) *out = std::atof(v);
-    };
-    rate("--loss", &ccfg.drop_rate);
-    rate("--dup", &ccfg.dup_rate);
-    rate("--reorder", &ccfg.reorder_rate);
-    rate("--corrupt", &ccfg.corrupt_rate);
-    const char* seed = flag_value(argc, argv, "--seed");
-    const std::uint64_t s =
-        seed ? static_cast<std::uint64_t>(std::atoll(seed)) : 7;
-    ccfg.seed = s;
     const char* rounds = flag_value(argc, argv, "--rounds");
     const char* workers = flag_value(argc, argv, "--workers");
     const char* producers = flag_value(argc, argv, "--producers");
     return cmd_parallel(
         std::move(*topo), ccfg, rounds ? std::atoi(rounds) : 3,
         workers ? static_cast<unsigned>(std::atoi(workers)) : 4,
-        producers ? static_cast<unsigned>(std::atoi(producers)) : 4, s,
-        flag_value(argc, argv, "--fault"));
+        producers ? static_cast<unsigned>(std::atoi(producers)) : 4,
+        ccfg.seed, fault);
   }
   if (cmd == "control") {
-    ChannelConfig ccfg;
-    auto rate = [&](const char* flag, double* out) {
-      if (const char* v = flag_value(argc, argv, flag)) *out = std::atof(v);
-    };
-    rate("--loss", &ccfg.drop_rate);
-    rate("--dup", &ccfg.dup_rate);
-    rate("--reorder", &ccfg.reorder_rate);
-    rate("--corrupt", &ccfg.corrupt_rate);
-    const char* seed = flag_value(argc, argv, "--seed");
-    const std::uint64_t s =
-        seed ? static_cast<std::uint64_t>(std::atoll(seed)) : 7;
-    ccfg.seed = s;
     const char* ticks = flag_value(argc, argv, "--ticks");
     return cmd_control(std::move(*topo), ccfg,
-                       ticks ? std::atoi(ticks) : 24, s,
+                       ticks ? std::atoi(ticks) : 24, ccfg.seed,
                        has_flag(argc, argv, "--wedge"),
                        flag_value(argc, argv, "--json"));
   }
