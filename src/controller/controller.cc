@@ -61,7 +61,7 @@ std::size_t Controller::num_rules() const {
 }
 
 void Controller::publish(const RuleEvent& ev) const {
-  for (const auto& l : listeners_) l(ev);
+  for (const auto& l : listeners_) l.second(ev);
 }
 
 }  // namespace veridp

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -85,8 +86,15 @@ class Controller {
   void set_out_acl(SwitchId sw, PortId port, Acl acl);
 
   /// Subscribes to southbound rule operations (the VeriDP server tap).
-  void subscribe(std::function<void(const RuleEvent&)> listener) {
-    listeners_.push_back(std::move(listener));
+  /// Returns the handle unsubscribe() takes; a listener that dies
+  /// before the controller must unsubscribe first.
+  std::uint64_t subscribe(std::function<void(const RuleEvent&)> listener) {
+    listeners_.emplace_back(next_listener_, std::move(listener));
+    return next_listener_++;
+  }
+  void unsubscribe(std::uint64_t handle) {
+    std::erase_if(listeners_,
+                  [handle](const auto& l) { return l.first == handle; });
   }
 
   /// The config epoch: bumped on every rule event, before it is
@@ -108,7 +116,9 @@ class Controller {
 
   const Topology* topo_;
   std::vector<SwitchConfig> configs_;
-  std::vector<std::function<void(const RuleEvent&)>> listeners_;
+  std::vector<std::pair<std::uint64_t, std::function<void(const RuleEvent&)>>>
+      listeners_;
+  std::uint64_t next_listener_ = 0;
   RuleId next_id_ = 1;
   std::uint32_t epoch_ = 0;
 };

@@ -157,7 +157,7 @@ struct IngestHealth {
   AdmissionRegime regime = AdmissionRegime::kNormal;  ///< commanded regime
   std::uint64_t regime_transitions = 0;  ///< edge-triggered changes applied
   std::uint64_t failsafe_events = 0;     ///< publisher failsafes (loud)
-  std::uint64_t snapshot_flips = 0;  ///< ParallelServer snapshot publications
+  std::uint64_t snapshot_flips = 0;  ///< the server's snapshot publications
 
   /// Everything that reached a terminal bucket.
   [[nodiscard]] std::uint64_t accounted() const {

@@ -74,9 +74,10 @@ class IncrementalUpdater {
   /// Applies one rule add/delete incrementally.
   UpdateStats apply(const RuleEvent& ev);
 
-  /// Replays a deferred event sequence in order, summing the stats.
-  /// Used by the failsafe recovery path: events queued while the
-  /// publisher was wedged are applied as one batch once it recovers.
+  /// Applies a queued event sequence in order, summing the stats. The
+  /// Server's lazy refresh applies every event this way: the events
+  /// since its last refresh (or, after a wedged publisher recovers, the
+  /// whole backlog) as one batch.
   UpdateStats apply_batch(const std::vector<RuleEvent>& events);
 
   [[nodiscard]] const PathTable& table() const { return table_; }

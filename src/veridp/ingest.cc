@@ -104,6 +104,7 @@ IngestHealth ReportIngest::health() const {
   h.in_queue = queue_.size();
   h.regime = regime_;
   h.failsafe_events = server_->failsafe_events();
+  h.snapshot_flips = server_->snapshot_flips();
   h.lost_estimate = 0;
   for (const auto& [sw, tracker] : seq_state_)
     h.lost_estimate += tracker.lost_estimate();

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "dataplane/wire.hpp"
-#include "veridp/path_builder.hpp"
 #include "veridp/report_batch.hpp"
 
 namespace veridp {
@@ -37,9 +36,8 @@ constexpr std::chrono::microseconds kIdleBackoff{200};
 
 ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
                                int tag_bits)
-    : controller_(&controller),
-      cfg_(cfg),
-      tag_bits_(tag_bits),
+    : cfg_(cfg),
+      server_(controller, Server::Mode::kFullRebuild, tag_bits),
       worker_stats_(worker_count()),
       prof_(worker_count()) {
   validate_admission(cfg_.queue_capacity, cfg_.high_watermark,
@@ -58,75 +56,18 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
   lanes_.reserve(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i)
     lanes_.push_back(std::make_unique<Lane>(lane_capacity_));
-  controller_->subscribe(
-      [this](const RuleEvent& ev) { on_rule_event(ev); });
 }
 
 ParallelServer::~ParallelServer() { stop(); }
 
-void ParallelServer::enable_epoch_checking(std::size_t snapshot_ring,
-                                           std::uint32_t grace_window) {
-  epochs_ = {true, snapshot_ring, grace_window};
-}
-
-void ParallelServer::on_rule_event(const RuleEvent&) {
-  epoch_ = controller_->epoch();  // events arrive post-bump
-  if (!synced_) return;  // events before the first sync are folded into it
-  if (!dirty_) {
-    dirty_ = true;
-    dirty_from_ = epoch_;
-  }
-}
-
-void ParallelServer::rebuild_snapshot() {
-  const Topology& topo = controller_->topology();
-  // Fresh BDD arena per snapshot: every node the build creates lives in
-  // this new manager, so in-flight readers of previous snapshots never
-  // race with node-store growth. Each HeaderSet keeps its manager alive
-  // via shared_ptr, so the arena lives exactly as long as its table.
-  HeaderSpace space;
-  ConfigTransferProvider provider(space, topo,
-                                  controller_->logical_configs());
-  PathTableBuilder builder(space, topo, provider, tag_bits_);
-  auto table = std::make_shared<const PathTable>(builder.build());
-
-  // The superseded table retires into the ring for the epochs up to the
-  // first pending event (next_snapshot).
-  // veridp-lint: allow(relaxed-atomic, control-thread self-read; it performed every store)
-  const std::shared_ptr<const EpochSnapshot> prev =
-      snap_.load(std::memory_order_relaxed);
-  const std::shared_ptr<const EpochSnapshot> next = next_snapshot(
-      prev.get(), std::move(table), epoch_, dirty_ ? dirty_from_ : 0, epochs_);
-
-  snap_.store(next, std::memory_order_release);  // the publication point
-  dirty_ = false;
-  bump_relaxed(published_);
-}
-
 void ParallelServer::sync() {
-  epoch_ = controller_->epoch();
-  rebuild_snapshot();
-  synced_ = true;
+  server_.sync();
+  publish();
 }
 
 void ParallelServer::publish() {
-  if (!synced_) sync();
-  if (!dirty_) return;
-  if (publisher_wedged()) {
-    // Failsafe (Server::ensure_fresh's rule): keep serving the last
-    // published snapshot. Its table_valid_to predates the pending
-    // events, so the ahead-of-table rule turns would-be false positives
-    // into kStaleEpoch.
-    if (!read_relaxed(in_failsafe_)) {
-      // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-      in_failsafe_.store(true, std::memory_order_relaxed);
-      bump_relaxed(failsafe_events_);
-    }
-    return;
-  }
-  rebuild_snapshot();
-  // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
-  in_failsafe_.store(false, std::memory_order_relaxed);
+  (void)server_.table();  // ensure_fresh: rebuild, or failsafe if wedged
+  snap_.store(server_.snapshot(), std::memory_order_release);
 }
 
 void ParallelServer::govern(AdmissionRegime regime,
@@ -150,7 +91,7 @@ unsigned ParallelServer::worker_count() const {
 
 void ParallelServer::start() {
   if (running()) return;
-  if (!synced_) sync();
+  if (!snapshot()) sync();
   for (const auto& lane : lanes_) lane->q.open();
   const unsigned n = worker_count();
   workers_.reserve(n);
@@ -378,8 +319,8 @@ IngestHealth ParallelServer::health() const {
   h.in_queue = queue_depth();
   h.regime = static_cast<AdmissionRegime>(read_relaxed(regime_));
   h.regime_transitions = read_relaxed(regime_transitions_);
-  h.failsafe_events = read_relaxed(failsafe_events_);
-  h.snapshot_flips = read_relaxed(published_);
+  h.failsafe_events = server_.failsafe_events();
+  h.snapshot_flips = server_.snapshot_flips();
   return h;
 }
 

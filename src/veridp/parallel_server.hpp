@@ -31,17 +31,17 @@
 // bit-identical wherever it lands; dedup stays exact because it is
 // decided at lane admission, before any steal can move the report.
 //
-// Snapshot publication (RCU-style): the path table plus the ring of
-// retired tables live in one immutable EpochSnapshot (verifier.hpp, the
-// snapshot model the sequential Server shares) published through an
-// atomic shared_ptr swap. Readers take no lock — they load the
-// pointer once per batch and verify against frozen state; a concurrent
-// publish() builds the *next* snapshot in a **fresh BDD arena** (its own
-// HeaderSpace), so table construction never mutates nodes a reader is
-// evaluating, then swaps the pointer. Old snapshots stay alive until the
-// last in-flight batch drops its reference. Epoch-stale reports verify
-// against the table of the epoch they were stamped under, without
-// locking the hot path.
+// Snapshot publication (RCU-style): the control plane is an owned
+// kFullRebuild Server — the one rule-event → snapshot state machine,
+// shared with the sequential stack — and publish() republishes that
+// server's immutable EpochSnapshot (verifier.hpp) through an atomic
+// shared_ptr swap. Readers take no lock — they load the pointer once per
+// batch and verify against frozen state; the owned server builds the
+// *next* table in a **fresh BDD arena**, so table construction never
+// mutates nodes a reader is evaluating, then the pointer is swapped. Old
+// snapshots stay alive until the last in-flight batch drops its
+// reference. Epoch-stale reports verify against the table of the epoch
+// they were stamped under, without locking the hot path.
 //
 // Equivalence guarantee: verification classification is the shared
 // verify_epoch_aware (verifier.hpp) — the same function the sequential
@@ -56,20 +56,21 @@
 // .json so a future flat curve names the shared state responsible.
 //
 // Threading contract (machine-checked where expressible — DESIGN.md §8:
-// lane state and the failure buffer carry GUARDED_BY
-// annotations enforced by the clang-strict preset; the single-threaded
-// control-plane fields and the lock-free snapshot pointer are the two
-// documented-only exceptions, covered by the TSan suites):
+// lane state and the failure buffer carry GUARDED_BY annotations
+// enforced by the clang-strict preset; the owned control-plane Server
+// and the lock-free snapshot pointer are the two documented-only
+// exceptions, covered by the TSan suites):
 //   * control-plane side (ctor, sync, publish, rule events via the
 //     controller, take_failures) — ONE thread;
 //   * data-plane side (submit, submit_datagram) — any number of
 //     producer threads, concurrently with workers and with publish();
-//   * health() — any thread, merges per-lane/per-worker counters.
+//   * health(), in_failsafe(), failsafe_events() — any thread; they
+//     merge per-lane/per-worker counters and the owned server's relaxed
+//     failsafe and publication counters.
 //
-// Only Server::Mode::kFullRebuild semantics are supported: kIncremental
-// mutates its table in place, which is incompatible with lock-free
-// snapshot readers (the sequential Server keeps the grace-window rule
-// for that mode).
+// It owns a kFullRebuild Server: kIncremental mutates its table in
+// place, which is incompatible with lock-free snapshot readers (the
+// sequential Server keeps the grace-window rule for that mode).
 #pragma once
 
 #include <atomic>
@@ -87,6 +88,7 @@
 #include "veridp/admission.hpp"
 #include "veridp/mpmc_queue.hpp"
 #include "veridp/seq_tracker.hpp"
+#include "veridp/server.hpp"
 #include "veridp/verifier.hpp"
 
 namespace veridp {
@@ -113,8 +115,8 @@ using ParallelHealth = IngestHealth;
 
 class ParallelServer {
  public:
-  /// Subscribes to `controller`'s rule events (controller must outlive
-  /// the server and mutate only from the control thread). Throws
+  /// Owns a kFullRebuild Server over `controller` (controller must
+  /// outlive the server and mutate only from the control thread). Throws
   /// std::invalid_argument on the bounds validate_admission rejects
   /// (admission.hpp — the sequential ingest accepts the same configs)
   /// and if cfg.queue_capacity < worker_count().
@@ -124,39 +126,37 @@ class ParallelServer {
   ParallelServer(const ParallelServer&) = delete;
   ParallelServer& operator=(const ParallelServer&) = delete;
 
-  /// Same opt-in as Server::enable_epoch_checking: retire up to
+  /// Server::enable_epoch_checking on the owned server: retire up to
   /// `snapshot_ring` superseded tables and judge uncovered recent epochs
   /// with the grace-window rule. Call before sync().
   void enable_epoch_checking(std::size_t snapshot_ring = 8,
-                             std::uint32_t grace_window = 64);
+                             std::uint32_t grace_window = 64) {
+    server_.enable_epoch_checking(snapshot_ring, grace_window);
+  }
 
   /// Builds and publishes the first snapshot.
   void sync();
 
-  /// Publishes a fresh snapshot if rule events arrived since the last
-  /// one (lazy, like Server's dirty rebuild). Safe while workers run —
-  /// that is the point. The failsafe rule is Server::ensure_fresh's: a
-  /// publish that finds the publisher wedged with events pending keeps
-  /// serving the last published snapshot and engages the failsafe
+  /// Brings the owned server up to date (its lazy rebuild, a no-op
+  /// without rule events since the last one) and publishes its snapshot.
+  /// Safe while workers run — that is the point. The failsafe rule is
+  /// Server::ensure_fresh's: a wedged publisher with events pending keeps
+  /// the last published snapshot serving and engages the failsafe
   /// (failsafe_events bumps once per wedge); the next successful
-  /// publish clears it.
+  /// rebuild clears it.
   void publish();
 
-  /// Fault-injection hook: while it returns true the snapshot publisher
-  /// is wedged — publish() builds nothing and the last published
-  /// snapshot keeps serving. Control thread only.
+  /// Fault-injection hook of the owned server (Server::set_publish_fault):
+  /// while it returns true publish() builds nothing and the last
+  /// published snapshot keeps serving. Control thread only.
   void set_publish_fault(std::function<bool()> fault) {
-    publish_fault_ = std::move(fault);
+    server_.set_publish_fault(std::move(fault));
   }
   /// True while publish() is serving the last published snapshot
   /// because the publisher is wedged behind pending rule events.
-  [[nodiscard]] bool in_failsafe() const {
-    // veridp-lint: allow(relaxed-atomic, advisory status poll; no data guarded by it)
-    return in_failsafe_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool in_failsafe() const { return server_.in_failsafe(); }
   [[nodiscard]] std::uint64_t failsafe_events() const {
-    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
-    return failsafe_events_.load(std::memory_order_relaxed);
+    return server_.failsafe_events();
   }
 
   /// Hands admission over to a control loop (IngestGovernor / the
@@ -204,14 +204,16 @@ class ParallelServer {
   [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
     return snap_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  [[nodiscard]] bool epoch_checking() const { return epochs_.checking; }
+  [[nodiscard]] std::uint32_t epoch() const { return server_.epoch(); }
+  [[nodiscard]] bool epoch_checking() const {
+    return server_.epoch_checking();
+  }
   /// Total undispatched reports across all lanes.
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] bool running() const { return !workers_.empty(); }
   [[nodiscard]] unsigned worker_count() const;
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-  [[nodiscard]] int tag_bits() const { return tag_bits_; }
+  [[nodiscard]] int tag_bits() const { return server_.tag_bits(); }
 
   /// Per-worker stall/steal/memo attribution (one slot per worker).
   /// Counters accumulate across start/stop cycles; reset via
@@ -258,11 +260,6 @@ class ParallelServer {
     BoundedMpmcQueue<TagReport> q;
   };
 
-  void on_rule_event(const RuleEvent& ev);
-  void rebuild_snapshot();
-  [[nodiscard]] bool publisher_wedged() const {
-    return publish_fault_ && publish_fault_();
-  }
   Lane& lane_for(SwitchId sw) {
     return *lanes_[static_cast<std::size_t>(sw) % lanes_.size()];
   }
@@ -272,27 +269,14 @@ class ParallelServer {
   [[nodiscard]] bool all_lanes_drained() const;
   void worker_loop(unsigned idx);
 
-  Controller* controller_;
   ParallelConfig cfg_;
-  int tag_bits_;
   std::size_t lane_capacity_ = 0;   ///< per-lane hard bound
   std::size_t lane_watermark_ = 0;  ///< per-lane shedding threshold
 
-  // Control-plane state (single control thread).
-  bool synced_ = false;
-  bool dirty_ = false;
-  EpochPolicy epochs_;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t dirty_from_ = 0;  ///< epoch of the first event since clean
-
-  // Published state (read lock-free by workers).
+  // Control plane (single control thread) and its last snapshot,
+  // republished for the workers to read lock-free.
+  Server server_;
   std::atomic<std::shared_ptr<const EpochSnapshot>> snap_;
-  std::atomic<std::uint64_t> published_{0};
-
-  // Failsafe (see publish()): the fault hook is control-thread only.
-  std::function<bool()> publish_fault_;
-  std::atomic<bool> in_failsafe_{false};
-  std::atomic<std::uint64_t> failsafe_events_{0};
 
   // Admission commands (control thread writes, submit() reads).
   std::atomic<bool> governed_{false};

@@ -5,14 +5,17 @@
 namespace veridp {
 
 Server::Server(Controller& controller, Mode mode, int tag_bits,
-               HeaderSpace space)
+               std::optional<HeaderSpace> space)
     : controller_(&controller),
       mode_(mode),
       tag_bits_(tag_bits),
       space_(std::move(space)) {
-  controller_->subscribe(
+  // Last, so no member initializer can throw after the subscription.
+  listener_ = controller_->subscribe(
       [this](const RuleEvent& ev) { on_rule_event(ev); });
 }
+
+Server::~Server() { controller_->unsubscribe(listener_); }
 
 void Server::enable_epoch_checking(std::size_t snapshot_ring,
                                    std::uint32_t grace_window) {
@@ -22,25 +25,11 @@ void Server::enable_epoch_checking(std::size_t snapshot_ring,
 void Server::on_rule_event(const RuleEvent& ev) {
   epoch_ = controller_->epoch();  // events arrive post-bump
   if (!synced_) return;  // events before the first sync are folded into it
-  if (mode_ == Mode::kIncremental) {
-    if (publisher_wedged() || !deferred_.empty()) {
-      // Publisher wedged (or still holding a backlog): defer the event
-      // instead of mutating the table — the last-good table keeps
-      // serving, and ensure_fresh replays the backlog in order once the
-      // wedge clears.
-      if (deferred_.empty()) dirty_from_ = epoch_;
-      deferred_.push_back(ev);
-      dirty_ = true;
-      return;
-    }
-    updater_->apply(ev);
-    publish_in_place();
-  } else {
-    if (!dirty_) {
-      dirty_ = true;  // lazy rebuild before the next lookup
-      dirty_from_ = epoch_;
-    }
+  if (!dirty_) {
+    dirty_ = true;  // applied before the next lookup (ensure_fresh)
+    dirty_from_ = epoch_;
   }
+  if (updater_) deferred_.push_back(ev);  // kIncremental applies each event
 }
 
 void Server::publish(std::shared_ptr<const PathTable> table,
@@ -48,6 +37,8 @@ void Server::publish(std::shared_ptr<const PathTable> table,
   snap_ = next_snapshot(snap_.get(), std::move(table), epoch_, retire_below,
                         epochs_);
   memo_.clear();
+  // veridp-lint: allow(relaxed-atomic, commutative counter increment; no ordering carried)
+  flips_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Server::publish_in_place() {
@@ -61,17 +52,24 @@ void Server::publish_in_place() {
 void Server::rebuild() {
   const Topology& topo = controller_->topology();
   if (mode_ == Mode::kIncremental) {
-    updater_ = std::make_unique<IncrementalUpdater>(space_, topo, tag_bits_);
+    deferred_.clear();  // the configs already hold every queued event
+    if (!space_) space_.emplace();
+    updater_ = std::make_unique<IncrementalUpdater>(*space_, topo, tag_bits_);
     updater_->initialize(controller_->logical_configs());
     publish_in_place();
   } else {
-    // The superseded table retires into the snapshot ring: reports
-    // sampled under epochs [its valid-from, dirty_from_ - 1] are still
-    // in flight and must be judged against it, and Verdict::matched
-    // pointers handed out against it stay valid until it ages out.
-    ConfigTransferProvider provider(space_, topo,
+    // Fresh BDD arena per table: the build never creates nodes in an
+    // arena a published snapshot reads from, and each HeaderSet keeps
+    // its manager alive, so the arena lives exactly as long as its
+    // table. The superseded table retires into the snapshot ring:
+    // reports sampled under epochs [its valid-from, dirty_from_ - 1]
+    // are still in flight and must be judged against it, and
+    // Verdict::matched pointers handed out against it stay valid until
+    // it ages out.
+    HeaderSpace space;
+    ConfigTransferProvider provider(space, topo,
                                     controller_->logical_configs());
-    PathTableBuilder builder(space_, topo, provider, tag_bits_);
+    PathTableBuilder builder(space, topo, provider, tag_bits_);
     publish(std::make_shared<const PathTable>(builder.build()),
             dirty_ ? dirty_from_ : 0);
   }
@@ -90,23 +88,24 @@ void Server::ensure_fresh() {
   if (publisher_wedged()) {
     // Failsafe: keep serving the last-good table. epoch_tables() caps
     // table_valid_to at the last pre-event epoch, so the ahead-of-table
-    // rule turns would-be false positives into kStaleEpoch.
-    if (!in_failsafe_) {
-      in_failsafe_ = true;
-      ++failsafe_events_;
-    }
+    // rule turns would-be false positives into kStaleEpoch. Only this
+    // thread writes the flag and the counter; readers poll them.
+    // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
+    if (!in_failsafe_.exchange(true, std::memory_order_relaxed))
+      // veridp-lint: allow(relaxed-atomic, commutative counter increment; no ordering carried)
+      failsafe_events_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (mode_ == Mode::kIncremental) {
-    // Recovery: replay the backlog deferred while wedged, in order.
+  if (updater_) {
     updater_->apply_batch(deferred_);
     deferred_.clear();
     publish_in_place();
-    dirty_ = false;
   } else {
     rebuild();
   }
-  in_failsafe_ = false;
+  dirty_ = false;
+  // veridp-lint: allow(relaxed-atomic, independent status flag; readers poll it)
+  in_failsafe_.store(false, std::memory_order_relaxed);
 }
 
 const PathTable& Server::table() {

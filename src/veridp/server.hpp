@@ -3,13 +3,22 @@
 // reports from switches, verifies them (Algorithm 3) and localizes faulty
 // switches on failure (Algorithm 4).
 //
+// Rule events are applied lazily: an event only records the new epoch
+// and marks the server dirty (kIncremental also queues the event), and
+// the next verify / verify_batch / table / stats call brings the table
+// up to date first (ensure_fresh, the one place events are applied).
 // Two maintenance modes:
 //  * kIncremental — rules must be dst-prefix-only with priority equal to
-//    prefix length and no ACLs (§4.4's fragment); updates are O(affected
-//    branches) via IncrementalUpdater.
+//    prefix length and no ACLs (§4.4's fragment); the queued events are
+//    applied in order via IncrementalUpdater, O(affected branches) each,
+//    editing the table in place in one arena (the constructor's `space`).
 //  * kFullRebuild — arbitrary rules/ACLs; the table is rebuilt from the
-//    controller's logical configs on demand (rebuilds are batched: the
-//    table is marked dirty and rebuilt lazily before the next lookup).
+//    controller's logical configs, every build in a fresh HeaderSpace
+//    (BDD arena). Node creation needs exclusive use of an arena
+//    (bdd.hpp) while readers may be evaluating the served tables, and an
+//    arena dies with the last table built in it, so memory stays bounded
+//    under churn. ParallelServer owns one of these and republishes its
+//    snapshots to its workers.
 //
 // Epoch-aware verification (opt-in via enable_epoch_checking): every rule
 // event advances the config epoch; reports carry the epoch they were
@@ -23,13 +32,15 @@
 // pointers valid across lazy rebuilds until a snapshot ages out.
 //
 // The tables live in an EpochSnapshot (verifier.hpp) published by the
-// same next_snapshot rule ParallelServer uses; unlike that server this
-// one builds into its own (optionally shared) HeaderSpace and is read
-// only from the caller's thread.
+// next_snapshot rule. The server itself is driven from one thread; only
+// the failsafe state and the publication count (relaxed atomics) may be
+// read from any thread.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -44,14 +55,18 @@ class Server {
   enum class Mode { kFullRebuild, kIncremental };
 
   /// Creates a server monitoring `controller`'s network. Subscribes to
-  /// the controller's rule events. The controller (and its topology)
-  /// must outlive the server. Pass a HeaderSpace to share one BDD arena
-  /// with other components (HeaderSpace copies share their manager);
-  /// required when this server's path table will be compared with
-  /// another via `equivalent`.
+  /// the controller's rule events until destroyed. The controller (and
+  /// its topology) must outlive the server. `space` is the BDD arena a
+  /// kIncremental table is built and edited in (HeaderSpace copies share
+  /// their manager; one is made at sync if none is given), so pass one
+  /// to compare that table with another via `equivalent`. kFullRebuild
+  /// builds every table in a fresh arena and never uses it.
   Server(Controller& controller, Mode mode,
          int tag_bits = BloomTag::kDefaultBits,
-         HeaderSpace space = HeaderSpace{});
+         std::optional<HeaderSpace> space = std::nullopt);
+  ~Server();
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   /// Builds the path table from the current logical state. Call once
   /// after the initial policy installation.
@@ -96,10 +111,16 @@ class Server {
   /// The published tables (null before sync): table_valid_from is the
   /// epoch the current table was built at, `ranges` the retained ring
   /// (kFullRebuild + epoch checking only). Holding the pointer keeps
-  /// kFullRebuild tables alive; a kIncremental snapshot's current table
-  /// is the updater's and changes with the next rule event.
+  /// kFullRebuild tables and their arenas alive; a kIncremental
+  /// snapshot's current table is the updater's and changes at the next
+  /// refresh after a rule event.
   [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
     return snap_;
+  }
+  /// Snapshots published so far (sync included). Any thread.
+  [[nodiscard]] std::uint64_t snapshot_flips() const {
+    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
+    return flips_.load(std::memory_order_relaxed);
   }
 
   // Health counters. Every verify() lands in exactly one of passed /
@@ -118,16 +139,21 @@ class Server {
   /// mode — verification degrades to the ahead-of-table rule (a pass is
   /// conclusive, a mismatch is kStaleEpoch, never a false positive) —
   /// and recovers automatically once the hook clears: kFullRebuild
-  /// rebuilds, kIncremental replays the deferred events in order.
+  /// rebuilds, kIncremental applies the queued events in order.
   void set_publish_fault(std::function<bool()> fault) {
     publish_fault_ = std::move(fault);
   }
   /// True while serving the last-good table because the publisher is
-  /// wedged behind pending rule events.
-  [[nodiscard]] bool in_failsafe() const { return in_failsafe_; }
-  /// Edge-triggered count of failsafe engagements (loud by design).
+  /// wedged behind pending rule events. Any thread.
+  [[nodiscard]] bool in_failsafe() const {
+    // veridp-lint: allow(relaxed-atomic, advisory status poll; no data guarded by it)
+    return in_failsafe_.load(std::memory_order_relaxed);
+  }
+  /// Edge-triggered count of failsafe engagements (loud by design). Any
+  /// thread.
   [[nodiscard]] std::uint64_t failsafe_events() const {
-    return failsafe_events_;
+    // veridp-lint: allow(relaxed-atomic, monitoring counter; exactness not ordering)
+    return failsafe_events_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -143,24 +169,26 @@ class Server {
   [[nodiscard]] bool publisher_wedged() const {
     return publish_fault_ && publish_fault_();
   }
-  /// View of the epoch → table state consumed by verify_epoch_aware
-  /// (the classification shared with ParallelServer). Requires
-  /// ensure_fresh() to have run.
+  /// View of the epoch → table state consumed by verify_epoch_aware.
+  /// Requires ensure_fresh() to have run.
   [[nodiscard]] EpochTables epoch_tables() const;
 
   Controller* controller_;
+  std::uint64_t listener_ = 0;  ///< controller subscription handle
   Mode mode_;
   int tag_bits_;
-  HeaderSpace space_;
-  std::unique_ptr<IncrementalUpdater> updater_;
+  std::optional<HeaderSpace> space_;  ///< kIncremental's arena
+  std::unique_ptr<IncrementalUpdater> updater_;  ///< kIncremental, after sync
   bool synced_ = false;
   bool dirty_ = false;
+  std::vector<RuleEvent> deferred_;  ///< kIncremental events not yet applied
 
-  // Failsafe state (see set_publish_fault).
+  // Failsafe state (see set_publish_fault). Written by the driving
+  // thread; the flag and counters are atomic so any thread may poll.
   std::function<bool()> publish_fault_;
-  bool in_failsafe_ = false;
-  std::uint64_t failsafe_events_ = 0;
-  std::vector<RuleEvent> deferred_;  ///< kIncremental events queued while wedged
+  std::atomic<bool> in_failsafe_{false};
+  std::atomic<std::uint64_t> failsafe_events_{0};
+  std::atomic<std::uint64_t> flips_{0};  ///< snapshot publications
 
   // Epoch state.
   EpochPolicy epochs_;
@@ -169,7 +197,7 @@ class Server {
   std::shared_ptr<const EpochSnapshot> snap_;
   /// Duplicate-report fast path. Valid only for the current snapshot:
   /// cleared on every publish, including each in-place incremental
-  /// update.
+  /// refresh.
   VerifyMemo memo_;
 
   // Health counters.

@@ -102,11 +102,13 @@ struct EpochTables {
 
 /// One published unit — the snapshot model of both servers: the current
 /// table, the retired ring and the epoch bookkeeping verify_epoch_aware
-/// needs. Never mutated after publication; destroyed when the last
-/// reader drops its shared_ptr. (The sequential Server's kIncremental
-/// mode is the one exception: its `current` aliases the updater's table,
-/// which rule events edit in place, so that server republishes a fresh
-/// snapshot after every edit and never lets another thread read it.)
+/// needs. Server publishes it; ParallelServer republishes the snapshots
+/// of the kFullRebuild Server it owns. Never mutated after publication;
+/// destroyed when the last reader drops its shared_ptr. (A kIncremental
+/// Server is the one exception: its `current` aliases the updater's
+/// table, which each refresh edits in place, so that server republishes
+/// a fresh snapshot after every refresh and never lets another thread
+/// read it.)
 ///
 /// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
 /// registers a lockdep lifecycle generation at construction and

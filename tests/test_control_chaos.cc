@@ -223,7 +223,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The sequential failsafe in isolation: a wedged lazy-rebuild server
 // under churn serves the last-good table, classifies ahead-of-table
 // reports pass/stale (never failed), recovers on the next verify after
-// the wedge clears, and — in kIncremental mode — replays the deferred
+// the wedge clears, and — in kIncremental mode — applies the queued
 // event backlog in order so the recovered table matches a from-scratch
 // build.
 TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
@@ -273,7 +273,7 @@ TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
     EXPECT_EQ(server.failsafe_events(), 1u) << "edge-triggered";
 
     // Recovery: the wedge clears; the next verify absorbs the backlog
-    // (kIncremental replays deferred events via apply_batch) and the
+    // (kIncremental applies the queued events via apply_batch) and the
     // same workload now verifies conclusively — all passes.
     wedged = false;
     std::uint64_t passed = 0, total = 0;

@@ -738,6 +738,50 @@ TEST(ParallelServer, HealthIsSafeToPollWhileThePoolRestarts) {
   EXPECT_TRUE(h.conserved());
 }
 
+// The failsafe flag and the failsafe and publication counters live in
+// the owned Server and are written by the control thread; health(),
+// in_failsafe() and failsafe_events() read them from any thread.
+TEST(ParallelServer, FailsafeStateIsSafeToPollFromAnyThread) {
+  Rig rig(linear(4));
+  ParallelServer parallel(rig.controller, never_shed(2));
+  parallel.enable_epoch_checking();
+  rig.install_and_deploy();
+  parallel.sync();
+  parallel.start();
+
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)parallel.health();
+      (void)parallel.in_failsafe();
+      (void)parallel.failsafe_events();
+    }
+  });
+  bool wedged = false;
+  parallel.set_publish_fault([&wedged] { return wedged; });
+  const auto& subnets = rig.topo.subnets();
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto& [dst_port, subnet] = subnets[i % subnets.size()];
+    const RuleId id = rig.controller.add_rule(
+        dst_port.sw, 9100 + static_cast<int>(i), Match::dst_prefix(subnet),
+        Action::drop());
+    wedged = true;
+    parallel.publish();  // engages the failsafe
+    wedged = false;
+    parallel.publish();  // recovers
+    rig.controller.delete_rule(dst_port.sw, id);
+    parallel.publish();
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+  parallel.stop();
+
+  const IngestHealth h = parallel.health();
+  EXPECT_EQ(h.failsafe_events, 6u);
+  EXPECT_EQ(h.snapshot_flips, 1u + 2 * 6);
+  EXPECT_FALSE(parallel.in_failsafe());
+}
+
 // Failsafe parity: a wedged snapshot publisher must degrade
 // verification to "inconclusive" (kStaleEpoch), never to a false
 // positive — and the parallel server must follow the sequential
@@ -757,13 +801,18 @@ TEST(ParallelServer, WedgedPublisherFailsOverWithoutFalsePositives) {
   bool wedged = false;
   server.set_publish_fault([&] { return wedged; });
   parallel.set_publish_fault([&] { return wedged; });
+  const ReportIngest ingest(server);
 
-  // One control step: both servers refresh, then must agree.
+  // One control step: both servers refresh, then must agree — the
+  // sequential ledger included.
   auto step = [&](const char* what) {
     (void)server.table();
     parallel.publish();
     EXPECT_EQ(parallel.in_failsafe(), server.in_failsafe()) << what;
     EXPECT_EQ(parallel.failsafe_events(), server.failsafe_events()) << what;
+    EXPECT_EQ(parallel.health().snapshot_flips,
+              ingest.health().snapshot_flips)
+        << what;
   };
   const auto& subnets = rig.topo.subnets();
   ASSERT_GE(subnets.size(), 4u);

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+
 #include "controller/routing.hpp"
 #include "dataplane/fault.hpp"
 #include "testutil.hpp"
+#include "veridp/parallel_server.hpp"
+#include "veridp/path_builder.hpp"
 #include "veridp/workload.hpp"
 
 namespace veridp {
@@ -37,11 +43,30 @@ TEST(Server, IncrementalModeMatchesFullRebuild) {
   Controller c(topo);
   HeaderSpace shared;  // one BDD arena so the tables are comparable
   Server inc(c, Server::Mode::kIncremental, BloomTag::kDefaultBits, shared);
-  Server full(c, Server::Mode::kFullRebuild, BloomTag::kDefaultBits, shared);
+  // kFullRebuild builds every table in an arena of its own, so its side
+  // is compared by verdicts below.
+  Server full(c, Server::Mode::kFullRebuild);
   routing::install_shortest_paths(c);
   inc.sync();
   full.sync();
-  EXPECT_TRUE(equivalent(inc.table(), full.table()));
+  ConfigTransferProvider provider(shared, topo, c.logical_configs());
+  const PathTable reference =
+      PathTableBuilder(shared, topo, provider).build();
+  EXPECT_TRUE(equivalent(inc.table(), reference));
+
+  Network net(topo);
+  c.deploy(net);
+  std::size_t reports = 0;
+  for (const auto& flow : workload::ping_all(topo)) {
+    for (const TagReport& rep : net.inject(flow.header, flow.entry).reports) {
+      ++reports;
+      const Verdict a = inc.verify(rep);
+      const Verdict b = full.verify(rep);
+      EXPECT_EQ(a.status, b.status);
+      EXPECT_TRUE(a.ok());
+    }
+  }
+  EXPECT_GT(reports, 0u);
 }
 
 TEST(Server, RuleEventsKeepIncrementalTableFresh) {
@@ -316,6 +341,84 @@ TEST(Server, StatsExposeTableShape) {
   EXPECT_GE(s.num_paths, s.num_pairs);
   EXPECT_GT(s.avg_path_length, 0.0);
   EXPECT_EQ(server.tag_bits(), BloomTag::kDefaultBits);
+}
+
+// Every kFullRebuild table is built in an arena of its own, so churn of
+// distinct rules cannot grow the serving table's arena: the nodes of a
+// superseded table die with it instead of piling up in one shared arena.
+TEST(Server, FullRebuildChurnKeepsArenaBounded) {
+  Topology topo = internet2_like(2);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Rng rng(20);
+  ASSERT_GT(workload::add_specific_rules(c, rng, 200), 0u);
+  Server server(c, Server::Mode::kFullRebuild);
+  server.sync();
+  const auto arena_nodes = [](const PathTable& table) {
+    const BddManager* arena = nullptr;
+    table.for_each([&arena](PortKey, PortKey, const PathEntry& e) {
+      if (!arena) arena = e.headers.manager();
+    });
+    return arena ? arena->node_count() : std::size_t{0};
+  };
+  const std::size_t synced = arena_nodes(server.table());
+  ASSERT_GT(synced, 2u);
+
+  const auto& subnets = topo.subnets();
+  const auto n = static_cast<std::uint32_t>(subnets.size());
+  std::size_t peak = 0;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    // A distinct /30 each cycle, inside one of the attached subnets.
+    const auto& [port, subnet] = subnets[i % n];
+    const Prefix victim{subnet.addr + 4 * (i / n), 30};
+    ASSERT_TRUE(subnet.contains(victim));
+    const RuleId id = c.add_rule(port.sw, 30, Match::dst_prefix(victim),
+                                 Action::drop());
+    peak = std::max(peak, arena_nodes(server.table()));
+    ASSERT_TRUE(c.delete_rule(port.sw, id));
+    peak = std::max(peak, arena_nodes(server.table()));
+  }
+  EXPECT_LE(peak, synced + synced / 10);
+}
+
+// A server unsubscribes when it dies, so a rule event after its death
+// calls no dead listener (the sanitized preset turns one into a
+// use-after-free report). Covers the owned Server inside a
+// ParallelServer, including one whose constructor rejected its config
+// after that Server had subscribed.
+TEST(Server, DestroyedServersLeaveNoControllerListener) {
+  Topology topo = linear(3);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Server live(c, Server::Mode::kFullRebuild);
+  live.sync();
+  const auto churn = [&c] {
+    const RuleId id =
+        c.add_rule(0, 32, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 2, 9), 32}),
+                   Action::drop());
+    c.delete_rule(0, id);
+  };
+
+  auto server = std::make_unique<Server>(c, Server::Mode::kIncremental);
+  server->sync();
+  server.reset();
+  churn();
+
+  ParallelConfig cfg;
+  cfg.workers = 1;
+  auto parallel = std::make_unique<ParallelServer>(c, cfg);
+  parallel->sync();
+  parallel.reset();
+  churn();
+
+  cfg.shed_modulus = 0;  // rejected after the owned Server subscribed
+  EXPECT_THROW(ParallelServer(c, cfg), std::invalid_argument);
+  churn();
+
+  // The survivor's own subscription is the one still attached.
+  EXPECT_EQ(live.epoch(), c.epoch());
+  (void)live.table();
+  EXPECT_EQ(live.snapshot()->table_valid_from, c.epoch());
 }
 
 }  // namespace
