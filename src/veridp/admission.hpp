@@ -26,15 +26,20 @@
 // the current regime through IngestHealth.
 //
 // An ungoverned ingest runs the same ladder off its fixed high
-// watermark (watermark_regime). Both servers — ReportIngest::admit and
-// ParallelServer::submit — accept the same bounds (validate_admission),
-// decide through the one `admits` function below and keep their books
-// in the one IngestHealth ledger, so the two cannot drift apart.
+// watermark (watermark_regime). Both servers — ReportIngest and each
+// ParallelServer lane — accept the same bounds (validate_admission) and
+// take reports in through the one Intake below: the same duplicate
+// suppression, the same `admits` decision and the same intake buckets
+// of the one IngestHealth ledger, so the two cannot drift apart.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <unordered_map>
+
+#include "common/types.hpp"
+#include "veridp/seq_tracker.hpp"
 
 namespace veridp {
 
@@ -167,6 +172,62 @@ struct IngestHealth {
     return accounted() + in_queue == received &&
            verified == passed + failed + stale && memo_hits <= verified;
   }
+};
+
+/// The intake of one report queue: per-switch duplicate suppression,
+/// the admission decision and the four intake buckets (received,
+/// deduped, shed, quarantined). ReportIngest owns one; each
+/// ParallelServer lane owns one GUARDED_BY its lock, so the caller's
+/// queue depth is exact when it is handed to offer(). Not internally
+/// synchronized.
+class Intake {
+ public:
+  /// `capacity` is the hard bound of the caller's queue; `dedup_window`
+  /// bounds the remembered seqs per switch (SeqTracker).
+  Intake(std::size_t capacity, std::size_t dedup_window)
+      : capacity_(capacity), window_(dedup_window) {}
+
+  /// Books one decoded report of switch `sw`: false if `seq` repeats a
+  /// remembered one (counted deduped; seq 0 is never deduplicated) or
+  /// if `policy` refuses it at queue depth `depth` (counted shed). True
+  /// iff the caller must queue it.
+  bool offer(SwitchId sw, std::uint32_t seq, AdmissionPolicy policy,
+             std::size_t depth, std::uint32_t shed_modulus) {
+    ++received_;
+    if (seq != 0 &&
+        !trackers_.try_emplace(sw, window_).first->second.note(seq)) {
+      ++deduped_;
+      return false;
+    }
+    if (admits(policy, depth, capacity_, seq, shed_modulus)) return true;
+    ++shed_;
+    return false;
+  }
+
+  /// Books one datagram that failed to decode.
+  void quarantine() {
+    ++received_;
+    ++quarantined_;
+  }
+
+  /// Adds the intake buckets and the per-switch loss estimate to `h`.
+  void fold_into(IngestHealth& h) const {
+    h.received += received_;
+    h.deduped += deduped_;
+    h.shed += shed_;
+    h.quarantined += quarantined_;
+    for (const auto& [sw, tracker] : trackers_)
+      h.lost_estimate += tracker.lost_estimate();
+  }
+
+ private:
+  std::size_t capacity_;
+  std::size_t window_;
+  std::unordered_map<SwitchId, SeqTracker> trackers_;
+  std::uint64_t received_ = 0;
+  std::uint64_t deduped_ = 0;
+  std::uint64_t shed_ = 0;
+  std::uint64_t quarantined_ = 0;
 };
 
 }  // namespace veridp

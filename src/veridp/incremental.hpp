@@ -21,8 +21,9 @@
 // Deletion is the same operation with `from`/`to` swapped. Only branches
 // whose headers intersect Δ are touched, giving the Figure-14 per-rule
 // update times. As in the paper, this machinery handles dst-prefix
-// forwarding rules (no ACLs); Server falls back to full rebuilds for
-// configurations outside that fragment.
+// forwarding rules at priority == prefix length (no ACLs, no rewrites);
+// Server falls back to full rebuilds, for good, on a configuration or
+// rule event outside that fragment.
 #pragma once
 
 #include <map>

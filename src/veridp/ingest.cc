@@ -7,13 +7,8 @@
 namespace veridp {
 
 ReportIngest::ReportIngest(Server& server, IngestConfig cfg)
-    : server_(&server), cfg_(cfg) {
+    : server_(&server), cfg_(cfg), intake_(cfg.capacity, cfg.dedup_window) {
   cfg_.validate();
-}
-
-bool ReportIngest::note_sequence(SwitchId sw, std::uint32_t seq) {
-  return seq_state_.try_emplace(sw, cfg_.dedup_window)
-      .first->second.note(seq);
 }
 
 void ReportIngest::govern(AdmissionRegime regime,
@@ -26,42 +21,20 @@ void ReportIngest::govern(AdmissionRegime regime,
   }
 }
 
-bool ReportIngest::admit(std::uint32_t seq) {
-  if (admits(policy_for(admission_regime()), queue_.size(), cfg_.capacity,
-             seq, cfg_.shed_modulus))
-    return true;
-  ++health_.shed;
+bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
+  const auto report = wire::decode_report(datagram);
+  if (report) return offer_report(*report);
+  intake_.quarantine();
+  quarantine_.push_back(datagram);
+  if (quarantine_.size() > kQuarantineKeep) quarantine_.pop_front();
   return false;
 }
 
-bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
-  ++health_.received;
-  auto report = wire::decode_report(datagram);
-  if (!report) {
-    ++health_.quarantined;
-    quarantine_.push_back(datagram);
-    if (quarantine_.size() > kQuarantineKeep) quarantine_.pop_front();
-    return false;
-  }
-
-  if (report->seq != 0 &&
-      !note_sequence(report->outport.sw, report->seq)) {
-    ++health_.deduped;
-    return false;
-  }
-
-  if (!admit(report->seq)) return false;
-  queue_.push(*report);
-  return true;
-}
-
 bool ReportIngest::offer_report(const TagReport& report) {
-  ++health_.received;
-  if (report.seq != 0 && !note_sequence(report.outport.sw, report.seq)) {
-    ++health_.deduped;
+  if (!intake_.offer(report.outport.sw, report.seq,
+                     policy_for(admission_regime()), queue_.size(),
+                     cfg_.shed_modulus))
     return false;
-  }
-  if (!admit(report.seq)) return false;
   queue_.push(report);
   return true;
 }
@@ -77,19 +50,15 @@ std::size_t ReportIngest::process(std::size_t max) {
     server_->verify_batch(queue_, head, chunk, verdicts_.data());
     for (std::size_t k = 0; k < chunk; ++k) {
       // Lanes account in arrival order. The TagReport is reassembled
-      // only for the cold consumers (sink, failure retention), never
-      // for a plain pass.
+      // only for the sink, never for a plain pass.
       const Verdict& v = verdicts_[k];
       if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
-      if (v.ok()) {
+      if (v.ok())
         ++health_.passed;
-      } else if (v.status == VerifyStatus::kStaleEpoch) {
+      else if (v.status == VerifyStatus::kStaleEpoch)
         ++health_.stale;
-      } else {
+      else
         ++health_.failed;
-        failures_.push_back(queue_.report(head + k));
-        if (failures_.size() > cfg_.failure_keep) failures_.pop_front();
-      }
     }
     head += chunk;
   }
@@ -105,9 +74,7 @@ IngestHealth ReportIngest::health() const {
   h.regime = regime_;
   h.failsafe_events = server_->failsafe_events();
   h.snapshot_flips = server_->snapshot_flips();
-  h.lost_estimate = 0;
-  for (const auto& [sw, tracker] : seq_state_)
-    h.lost_estimate += tracker.lost_estimate();
+  intake_.fold_into(h);
   return h;
 }
 

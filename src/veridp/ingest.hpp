@@ -21,26 +21,26 @@
 //     (control_loop.hpp) commands both the admission regime and
 //     Network::command_sampling.
 //
-// Every received datagram lands in exactly one bucket of IngestHealth
-// (admission.hpp), which the overload tests assert — graceful
-// degradation must account for what it degraded.
+// Dedup, admission and the intake buckets are the Intake (admission.hpp)
+// that ParallelServer's lanes run too. Every received datagram lands in
+// exactly one bucket of IngestHealth, which the overload tests assert —
+// graceful degradation must account for what it degraded.
 //
 // Thread-safety: NOT internally synchronized — this is the sequential
 // Server's single-threaded front door. The multi-producer analogue is
-// ParallelServer's shard-affine dispatch lanes, whose ingest state is
-// GUARDED_BY the lane lock and machine-checked under the clang-strict
-// preset (common/thread_annotations.hpp, DESIGN.md §8).
+// ParallelServer's shard-affine dispatch lanes: each lane's Intake and
+// queue sit under the lane's one lock, GUARDED_BY it and machine-checked
+// under the clang-strict preset (common/thread_annotations.hpp,
+// DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "veridp/admission.hpp"
 #include "veridp/report_batch.hpp"
-#include "veridp/seq_tracker.hpp"
 #include "veridp/server.hpp"
 
 namespace veridp {
@@ -50,7 +50,6 @@ struct IngestConfig {
   std::size_t high_watermark = 768;   ///< shedding starts above this
   std::uint32_t shed_modulus = 4;     ///< keep seq % modulus == 0 when shedding
   std::size_t dedup_window = 4096;    ///< remembered seqs per switch
-  std::size_t failure_keep = 32;      ///< failed reports retained
 
   /// validate_admission over this config's bounds (admission.hpp):
   /// throws std::invalid_argument on a config that silently misbehaves.
@@ -69,10 +68,12 @@ class ReportIngest {
   explicit ReportIngest(Server& server, IngestConfig cfg = {});
 
   /// Observation tap: invoked for every report process() verifies, with
-  /// the verdict it received, in verification order. The fuzz oracle
-  /// uses it to capture the exact verified stream for time-to-detection
-  /// scoring and for the sequential/parallel equality check; pass an
-  /// empty function to detach. Must not re-enter the ingest.
+  /// the verdict it received, in verification order. It is the one way
+  /// out for failed reports (the inputs for localization); the fuzz
+  /// oracle also uses it to capture the exact verified stream for
+  /// time-to-detection scoring and for the sequential/parallel equality
+  /// check. Pass an empty function to detach. Must not re-enter the
+  /// ingest.
   void set_verdict_sink(
       std::function<void(const TagReport&, const Verdict&)> sink) {
     verdict_sink_ = std::move(sink);
@@ -118,27 +119,18 @@ class ReportIngest {
       const {
     return quarantine_;
   }
-  /// Most recent definitively failed reports (bounded by failure_keep) —
-  /// the inputs for localization.
-  [[nodiscard]] const std::deque<TagReport>& recent_failures() const {
-    return failures_;
-  }
 
  private:
-  /// Returns false if the report is a duplicate.
-  bool note_sequence(SwitchId sw, std::uint32_t seq);
   /// The commanded regime, or the watermark's when ungoverned.
   [[nodiscard]] AdmissionRegime admission_regime() const {
     return governed_ ? regime_
                      : watermark_regime(queue_.size(), cfg_.high_watermark);
   }
-  /// Post-dedup admission decision shared by offer / offer_report:
-  /// returns true iff the report should be queued (false: counted shed).
-  bool admit(std::uint32_t seq);
 
   Server* server_;
   IngestConfig cfg_;
-  IngestHealth health_;
+  Intake intake_;
+  IngestHealth health_;  ///< verify-side counts; intake_ keeps its buckets
   bool governed_ = false;  ///< a control loop commands admission
   AdmissionRegime regime_ = AdmissionRegime::kNormal;
   /// Admitted-but-unverified reports in SoA form: offer() appends
@@ -147,9 +139,7 @@ class ReportIngest {
   /// repacking between the queue and the verifier.
   ReportBatch queue_;
   std::vector<Verdict> verdicts_;  ///< process() scratch, one per lane
-  std::unordered_map<SwitchId, SeqTracker> seq_state_;
   std::deque<std::vector<std::uint8_t>> quarantine_;
-  std::deque<TagReport> failures_;
 
   std::function<void(const TagReport&, const Verdict&)> verdict_sink_;
 };

@@ -1,5 +1,7 @@
 #include "veridp/parallel_server.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
 
@@ -51,11 +53,12 @@ ParallelServer::ParallelServer(Controller& controller, ParallelConfig cfg,
         "(each lane needs room for one report)");
   shed_modulus_.store(cfg_.shed_modulus);
   cfg_.batch_size = resolve_batch_size(cfg_.batch_size);
-  lane_capacity_ = cfg_.queue_capacity / nlanes;
-  lane_watermark_ = cfg_.high_watermark / nlanes;  // <= lane_capacity_
+  const std::size_t lane_capacity = cfg_.queue_capacity / nlanes;
+  lane_watermark_ = cfg_.high_watermark / nlanes;  // <= lane_capacity
   lanes_.reserve(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i)
-    lanes_.push_back(std::make_unique<Lane>(lane_capacity_));
+    lanes_.push_back(
+        std::make_unique<Lane>(lane_capacity, cfg_.dedup_window));
 }
 
 ParallelServer::~ParallelServer() { stop(); }
@@ -92,7 +95,7 @@ unsigned ParallelServer::worker_count() const {
 void ParallelServer::start() {
   if (running()) return;
   if (!snapshot()) sync();
-  for (const auto& lane : lanes_) lane->q.open();
+  for (const auto& lane : lanes_) lane->open();
   const unsigned n = worker_count();
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i)
@@ -103,42 +106,78 @@ bool ParallelServer::submit(const TagReport& report) {
   Lane& lane = lane_for(report.outport.sw);
   {
     MutexLock lk(lane.mu);
-    ++lane.received;
-    if (report.seq != 0 &&
-        !lane.seq.try_emplace(report.outport.sw, cfg_.dedup_window)
-             .first->second.note(report.seq)) {
-      ++lane.deduped;
+    const std::size_t depth = lane.q.size();
+    const AdmissionRegime regime =
+        read_relaxed(governed_)
+            ? static_cast<AdmissionRegime>(read_relaxed(regime_))
+            : watermark_regime(depth, lane_watermark_);
+    // A stopped lane admits nothing: the report is still deduplicated,
+    // then counted shed.
+    const AdmissionPolicy policy = lane.closed
+                                       ? AdmissionPolicy::kQuarantineOnly
+                                       : policy_for(regime);
+    if (!lane.intake.offer(report.outport.sw, report.seq, policy, depth,
+                           read_relaxed(shed_modulus_)))
       return false;
-    }
+    lane.q.push_back(report);
+    ++lane.unfinished;
   }
-  // Admission runs outside the lane ingest lock — the queue has its
-  // own synchronization and the depth reading is advisory anyway.
-  const std::size_t depth = lane.q.size();
-  const AdmissionRegime regime =
-      read_relaxed(governed_)
-          ? static_cast<AdmissionRegime>(read_relaxed(regime_))
-          : watermark_regime(depth, lane_watermark_);
-  if (!admits(policy_for(regime), depth, lane_capacity_, report.seq,
-              read_relaxed(shed_modulus_)) ||
-      !lane.q.try_push(report)) {
-    MutexLock lk(lane.mu);
-    ++lane.shed;
-    return false;
-  }
+  lane.not_empty.notify_one();
   return true;
 }
 
 bool ParallelServer::submit_datagram(
     const std::vector<std::uint8_t>& datagram) {
   const auto report = wire::decode_report(datagram);
-  if (!report) {
-    Lane& lane = *lanes_.front();  // malformed payloads name no switch
-    MutexLock lk(lane.mu);
-    ++lane.received;
-    ++lane.quarantined;
-    return false;
+  if (report) return submit(*report);
+  Lane& lane = *lanes_.front();  // malformed payloads name no switch
+  MutexLock lk(lane.mu);
+  lane.intake.quarantine();
+  return false;
+}
+
+std::size_t ParallelServer::Lane::pop(std::vector<TagReport>& out,
+                                      std::size_t max) {
+  out.clear();
+  const std::size_t n = std::min(q.size(), max);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(std::move(q.front()));
+    q.pop_front();
   }
-  return submit(*report);
+  return n;
+}
+
+std::size_t ParallelServer::Lane::pop_for(std::vector<TagReport>& out,
+                                          std::size_t max,
+                                          std::chrono::microseconds timeout) {
+  MutexLock lk(mu);
+  if (!closed && q.empty()) not_empty.wait_for(lk, timeout);
+  return pop(out, max);
+}
+
+void ParallelServer::Lane::task_done(std::size_t n) {
+  MutexLock lk(mu);
+  if (n > unfinished) {
+    over_reported += n - unfinished;
+    assert(false && "ParallelServer::Lane::task_done over-report");
+    unfinished = 0;
+  } else {
+    unfinished -= n;
+  }
+  if (unfinished == 0) idle.notify_all();
+}
+
+void ParallelServer::Lane::close() {
+  {
+    MutexLock lk(mu);
+    closed = true;
+  }
+  not_empty.notify_all();
+}
+
+void ParallelServer::Lane::open() {
+  MutexLock lk(mu);
+  closed = false;
 }
 
 ParallelServer::Lane* ParallelServer::pick_victim(std::size_t own) {
@@ -146,18 +185,21 @@ ParallelServer::Lane* ParallelServer::pick_victim(std::size_t own) {
   std::size_t best_depth = 0;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (i == own) continue;
-    const std::size_t depth = lanes_[i]->q.size();
-    if (depth > best_depth) {
-      best_depth = depth;
-      best = lanes_[i].get();
+    Lane& lane = *lanes_[i];
+    MutexLock lk(lane.mu);
+    if (lane.q.size() > best_depth) {
+      best_depth = lane.q.size();
+      best = &lane;
     }
   }
   return best;
 }
 
 bool ParallelServer::all_lanes_drained() const {
-  for (const auto& lane : lanes_)
-    if (!lane->q.drained()) return false;
+  for (const auto& lane : lanes_) {
+    MutexLock lk(lane->mu);
+    if (!lane->closed || !lane->q.empty()) return false;
+  }
   return true;
 }
 
@@ -181,17 +223,22 @@ void ParallelServer::worker_loop(unsigned idx) {
   VerifyMemo memo;
   std::shared_ptr<const EpochSnapshot> held;
   const std::uint64_t cpu0 = thread_cpu_now_ns();
+  const auto pop_from = [&batch, this](Lane& lane) {
+    MutexLock lk(lane.mu);
+    return lane.pop(batch, cfg_.batch_size);
+  };
   for (;;) {
     // Own lane first — the shard-affine fast path: one lane-local lock,
     // no sibling contention.
     Lane* src = &own;
-    std::size_t n = own.q.try_pop_batch(batch, cfg_.batch_size);
+    std::size_t n = pop_from(own);
     WorkerProfile::bump(wp.lock_acquisitions);
     if (n == 0) {
-      // Dry lane: bounded rebalance — raid the deepest sibling once.
+      // Dry lane: bounded rebalance — raid the deepest sibling once,
+      // with the own lane's lock already released.
       WorkerProfile::bump(wp.steal_attempts);
       if (Lane* victim = pick_victim(idx)) {
-        n = victim->q.try_pop_batch(batch, cfg_.batch_size);
+        n = pop_from(*victim);
         WorkerProfile::bump(wp.lock_acquisitions);
         if (n != 0) {
           src = victim;
@@ -206,7 +253,7 @@ void ParallelServer::worker_loop(unsigned idx) {
       // bounded backoff, then rescan (a sibling may have filled while
       // we only get woken for our own lane's pushes).
       const clock::time_point w0 = clock::now();
-      n = own.q.pop_batch_for(batch, cfg_.batch_size, kIdleBackoff);
+      n = own.pop_for(batch, cfg_.batch_size, kIdleBackoff);
       WorkerProfile::bump(wp.lock_acquisitions);
       WorkerProfile::bump(
           wp.queue_wait_ns,
@@ -259,7 +306,7 @@ void ParallelServer::worker_loop(unsigned idx) {
     WorkerProfile::bump(wp.memo_lookups, memo.lookups() - lookups_before);
     WorkerProfile::bump(wp.batches);
     WorkerProfile::bump(wp.batch_items, n);
-    src->q.task_done(n);
+    src->task_done(n);
     WorkerProfile::bump(wp.lock_acquisitions);
     WorkerProfile::bump(
         wp.busy_ns,
@@ -274,27 +321,36 @@ void ParallelServer::worker_loop(unsigned idx) {
 void ParallelServer::drain() {
   // Workers retain a batch's mismatches before task_done on its lane,
   // so idle lanes mean every mismatch is already in failures_.
-  for (const auto& lane : lanes_) lane->q.wait_idle();
+  for (const auto& lane : lanes_) {
+    MutexLock lk(lane->mu);
+    while (lane->unfinished != 0) lane->idle.wait(lk);
+  }
 }
 
 void ParallelServer::stop() {
   if (workers_.empty()) return;
   // Close every lane: workers drain the leftovers (stealing included),
   // then exit once all_lanes_drained().
-  for (const auto& lane : lanes_) lane->q.close();
+  for (const auto& lane : lanes_) lane->close();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
 }
 
 std::size_t ParallelServer::queue_depth() const {
   std::size_t depth = 0;
-  for (const auto& lane : lanes_) depth += lane->q.size();
+  for (const auto& lane : lanes_) {
+    MutexLock lk(lane->mu);
+    depth += lane->q.size();
+  }
   return depth;
 }
 
 std::uint64_t ParallelServer::queue_over_reported() const {
   std::uint64_t n = 0;
-  for (const auto& lane : lanes_) n += lane->q.over_reported();
+  for (const auto& lane : lanes_) {
+    MutexLock lk(lane->mu);
+    n += lane->over_reported;
+  }
   return n;
 }
 
@@ -302,12 +358,8 @@ IngestHealth ParallelServer::health() const {
   IngestHealth h;
   for (const auto& lane : lanes_) {
     MutexLock lk(lane->mu);
-    h.received += lane->received;
-    h.deduped += lane->deduped;
-    h.shed += lane->shed;
-    h.quarantined += lane->quarantined;
-    for (const auto& [sw, tracker] : lane->seq)
-      h.lost_estimate += tracker.lost_estimate();
+    lane->intake.fold_into(h);
+    h.in_queue += lane->q.size();
   }
   for (const WorkerStats& ws : worker_stats_) {
     h.verified += read_relaxed(ws.verified);
@@ -316,7 +368,6 @@ IngestHealth ParallelServer::health() const {
     h.stale += read_relaxed(ws.stale);
     h.memo_hits += read_relaxed(ws.memo_hits);
   }
-  h.in_queue = queue_depth();
   h.regime = static_cast<AdmissionRegime>(read_relaxed(regime_));
   h.regime_transitions = read_relaxed(regime_transitions_);
   h.failsafe_events = server_.failsafe_events();

@@ -4,7 +4,7 @@
 // future. Architecture (DESIGN.md §6):
 //
 //   producers ──► shard-affine lanes: lane = sw % workers
-//   (any thread)  each lane: {dedup trackers + counters, bounded queue}
+//   (any thread)  each lane, under its one lock: {Intake, bounded queue}
 //                                                │ batch dequeue by the
 //                                                │ OWNING worker; idle
 //                                                │ workers steal batches
@@ -17,18 +17,22 @@
 //
 // Shard-affine dispatch (the fix for the flat PR-3 scaling curve): the
 // old pipeline funneled every producer and every worker through ONE
-// BoundedMpmcQueue — one mutex and one condvar bouncing between all
-// cores, so adding workers added contention instead of throughput.
-// Reports are now routed by switch to per-worker lanes: a lane's
-// dedup trackers, health counters and bounded queue are touched only by
-// the producers of that lane's switches and by its owning worker, so on
-// the hot path no lock and no counter cacheline is shared across
-// workers. Skewed switch distributions (one hot switch would starve
-// N-1 workers) are handled by bounded work-stealing at dequeue: a
-// worker whose own lane is dry raids the deepest sibling lane for one
-// batch. Verification itself is stateless across lanes (immutable
-// snapshot + per-worker memo), so a stolen report's verdict is
-// bit-identical wherever it lands; dedup stays exact because it is
+// shared queue — one mutex and one condvar bouncing between all cores,
+// so adding workers added contention instead of throughput. Reports are
+// now routed by switch to per-worker lanes. A lane is one lock guarding
+// its Intake (admission.hpp: the dedup trackers, admission decision and
+// intake counters the sequential ReportIngest runs too) and its bounded
+// queue, so a submit is one critical section — dedup, admission against
+// the exact queue depth, push — and a lane is touched only by the
+// producers of its switches and by its owning worker: on the hot path
+// no lock and no counter cacheline is shared across workers. Skewed
+// switch distributions (one hot switch would starve N-1 workers) are
+// handled by bounded work-stealing at dequeue: a worker whose own lane
+// is dry releases it, then raids the deepest sibling lane for one batch
+// under that sibling's lock (never two lane locks at once: they are one
+// lockdep class). Verification itself is stateless across lanes
+// (immutable snapshot + per-worker memo), so a stolen report's verdict
+// is bit-identical wherever it lands; dedup stays exact because it is
 // decided at lane admission, before any steal can move the report.
 //
 // Snapshot publication (RCU-style): the control plane is an owned
@@ -74,20 +78,18 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/scal_profiler.hpp"
 #include "common/thread_annotations.hpp"
 #include "controller/controller.hpp"
 #include "veridp/admission.hpp"
-#include "veridp/mpmc_queue.hpp"
-#include "veridp/seq_tracker.hpp"
 #include "veridp/server.hpp"
 #include "veridp/verifier.hpp"
 
@@ -182,8 +184,9 @@ class ParallelServer {
 
   /// Launches the worker pool: exactly worker_count() threads.
   void start();
-  /// Offers one decoded report: lane-affine dedup → shed check → lane
-  /// queue. Returns true iff enqueued for verification. Thread-safe.
+  /// Offers one decoded report: dedup → admission → lane queue, all
+  /// under the lane's lock. Returns true iff enqueued for verification;
+  /// a submit after stop() is counted shed. Thread-safe.
   bool submit(const TagReport& report);
   /// Offers one encoded datagram (decode failures count as quarantined).
   bool submit_datagram(const std::vector<std::uint8_t>& datagram);
@@ -221,12 +224,14 @@ class ParallelServer {
   [[nodiscard]] const ScalProfiler& profiler() const { return prof_; }
   [[nodiscard]] ScalProfiler& profiler() { return prof_; }
 
-  /// Cumulative task_done over-reports across every lane queue. Always
-  /// 0 unless a consumer double-accounts; the lifecycle tests assert it
-  /// stays 0.
+  /// Cumulative task_done over-reports across every lane. Always 0
+  /// unless a worker double-accounts a batch (debug builds abort on it
+  /// instead); the lifecycle tests assert it stays 0.
   [[nodiscard]] std::uint64_t queue_over_reported() const;
 
  private:
+  friend struct ParallelServerTestPeer;  ///< drives a Lane directly
+
   /// Per-worker verdict counters, cacheline-separated so workers never
   /// share a line; merged (relaxed loads) by health().
   struct alignas(64) WorkerStats {
@@ -237,40 +242,56 @@ class ParallelServer {
     std::atomic<std::uint64_t> memo_hits{0};
   };
 
-  /// One shard-affine dispatch lane: the per-switch dedup trackers and
-  /// ingest counters for the switches routed here, plus the bounded
-  /// queue its owning worker dequeues from. Producers for different
-  /// lanes share nothing; producers for the same lane serialize on
-  /// `mu` — every mutable ingest member is GUARDED_BY(mu) and the
-  /// clang-strict build rejects any access outside a MutexLock(lane.mu)
-  /// scope. The queue carries its own internal synchronization (it
-  /// must: thieves bypass `mu`).
+  /// One shard-affine dispatch lane: the Intake of the switches routed
+  /// here and the bounded queue of admitted reports its owning worker
+  /// dequeues from, with the completion count drain() waits on. One
+  /// lock guards all of it: producers, the owner and thieves serialize
+  /// on `mu`, and the clang-strict build rejects any access outside a
+  /// MutexLock(lane.mu) scope. Lanes share one lockdep class, so no
+  /// thread ever holds two lane locks at once (DESIGN.md §12).
   struct alignas(64) Lane {
-    explicit Lane(std::size_t capacity) : q(capacity) {}
-    // Lock class + declared order (DESIGN.md §12): lane admission is
-    // the outermost ingest lock — it may be held while touching the
-    // lane's queue, never the reverse.
-    // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
+    Lane(std::size_t capacity, std::size_t dedup_window)
+        : intake(capacity, dedup_window) {}
+
+    /// Moves up to `max` queued reports into `out` (cleared first).
+    std::size_t pop(std::vector<TagReport>& out, std::size_t max)
+        REQUIRES(mu);
+    /// pop() after waiting up to `timeout` for a push while the lane is
+    /// open and empty; a lane with work, or a closed one, pops at once.
+    std::size_t pop_for(std::vector<TagReport>& out, std::size_t max,
+                        std::chrono::microseconds timeout) EXCLUDES(mu);
+    /// Marks `n` popped reports as verified. Completions beyond the
+    /// outstanding count are a worker accounting bug: debug builds
+    /// abort, every build records the excess in `over_reported`
+    /// instead of silently clamping (a drain() released by inflated
+    /// completions would return with work still in flight).
+    void task_done(std::size_t n) EXCLUDES(mu);
+    /// stop(): later submits are shed, and parked pops return at once.
+    void close() EXCLUDES(mu);
+    /// start(): re-arms a closed lane.
+    void open() EXCLUDES(mu);
+
     mutable Mutex mu{"ParallelServer::Lane::mu"};
-    std::unordered_map<SwitchId, SeqTracker> seq GUARDED_BY(mu);
-    std::uint64_t received GUARDED_BY(mu) = 0;
-    std::uint64_t deduped GUARDED_BY(mu) = 0;
-    std::uint64_t shed GUARDED_BY(mu) = 0;
-    std::uint64_t quarantined GUARDED_BY(mu) = 0;
-    BoundedMpmcQueue<TagReport> q;
+    CondVar not_empty;  ///< a push, or close
+    CondVar idle;       ///< unfinished reached 0
+    Intake intake GUARDED_BY(mu);
+    std::deque<TagReport> q GUARDED_BY(mu);
+    std::size_t unfinished GUARDED_BY(mu) = 0;  ///< pushed, not task_done
+    std::uint64_t over_reported GUARDED_BY(mu) = 0;
+    bool closed GUARDED_BY(mu) = false;  ///< stop() to start()
   };
 
   Lane& lane_for(SwitchId sw) {
     return *lanes_[static_cast<std::size_t>(sw) % lanes_.size()];
   }
-  /// Deepest non-empty sibling lane, or nullptr. O(lanes) advisory size
-  /// reads — only taken when the worker's own lane ran dry.
+  /// Deepest non-empty sibling lane, or nullptr. Locks each sibling in
+  /// turn for its depth; only taken when the worker's own lane ran dry
+  /// and its lock is released.
   Lane* pick_victim(std::size_t own);
   [[nodiscard]] bool all_lanes_drained() const;
   void worker_loop(unsigned idx);
 
   ParallelConfig cfg_;
-  std::size_t lane_capacity_ = 0;   ///< per-lane hard bound
   std::size_t lane_watermark_ = 0;  ///< per-lane shedding threshold
 
   // Control plane (single control thread) and its last snapshot,

@@ -1,15 +1,15 @@
 // Per-switch sequence-number bookkeeping: duplicate suppression over a
 // bounded window plus a span-based loss estimate.
 //
-// Factored out of ReportIngest so the sequential ingest and the
-// ParallelServer's per-switch ingest shards share one definition of
+// The Intake (admission.hpp) keeps one per switch, so the sequential
+// ingest and the ParallelServer's lanes share one definition of
 // "duplicate" and "lost" — the oracle-equality stress tests depend on
 // both paths agreeing exactly, whichever thread a report arrives on.
 //
 // Not internally synchronized: the sequential ingest is single-threaded
-// and the parallel ingest holds its lane's ingest lock around every
-// call. That external contract is machine-checked at the owner:
-// ParallelServer declares its tracker map GUARDED_BY(lane.mu) (see
+// and the parallel ingest holds its lane's lock around every call. That
+// external contract is machine-checked at the owner: ParallelServer
+// declares each lane's Intake GUARDED_BY(lane.mu) (see
 // common/thread_annotations.hpp and DESIGN.md §8), so under the
 // clang-strict preset no call can reach a shared SeqTracker unlocked.
 #pragma once

@@ -4,6 +4,29 @@
 
 namespace veridp {
 
+namespace {
+
+/// §4.4's fragment, the rules IncrementalUpdater models: a dst-prefix
+/// match at priority == prefix length, with no header rewrite.
+bool in_fragment(const FlowRule& r) {
+  return r.match.is_dst_prefix_only() && r.priority == r.match.dst.len &&
+         r.action.rewrite.empty();
+}
+
+/// Every rule in the fragment, and no ACL but permit-all.
+bool in_fragment(const std::vector<SwitchConfig>& configs) {
+  for (const SwitchConfig& cfg : configs) {
+    for (const FlowRule& r : cfg.table.rules())
+      if (!in_fragment(r)) return false;
+    for (const auto* acls : {&cfg.in_acls, &cfg.out_acls})
+      for (const auto& [port, acl] : *acls)
+        if (!acl.trivially_permits_all()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 Server::Server(Controller& controller, Mode mode, int tag_bits,
                std::optional<HeaderSpace> space)
     : controller_(&controller),
@@ -29,7 +52,16 @@ void Server::on_rule_event(const RuleEvent& ev) {
     dirty_ = true;  // applied before the next lookup (ensure_fresh)
     dirty_from_ = epoch_;
   }
-  if (updater_) deferred_.push_back(ev);  // kIncremental applies each event
+  if (mode_ != Mode::kIncremental) return;
+  if (in_fragment(ev.rule)) {
+    deferred_.push_back(ev);  // kIncremental applies each event
+    return;
+  }
+  // The updater cannot model this rule: serve kFullRebuild for good.
+  // The next refresh rebuilds from the configs, which hold every
+  // queued event.
+  mode_ = Mode::kFullRebuild;
+  deferred_.clear();
 }
 
 void Server::publish(std::shared_ptr<const PathTable> table,
@@ -51,6 +83,9 @@ void Server::publish_in_place() {
 
 void Server::rebuild() {
   const Topology& topo = controller_->topology();
+  if (mode_ == Mode::kIncremental &&
+      !in_fragment(controller_->logical_configs()))
+    mode_ = Mode::kFullRebuild;  // outside §4.4's fragment, for good
   if (mode_ == Mode::kIncremental) {
     deferred_.clear();  // the configs already hold every queued event
     if (!space_) space_.emplace();
@@ -65,13 +100,17 @@ void Server::rebuild() {
     // reports sampled under epochs [its valid-from, dirty_from_ - 1]
     // are still in flight and must be judged against it, and
     // Verdict::matched pointers handed out against it stay valid until
-    // it ages out.
+    // it ages out. The first table after a kIncremental fallback
+    // retires nothing: the snapshot it replaces aliases the updater's
+    // table, which may go only once no snapshot does.
     HeaderSpace space;
     ConfigTransferProvider provider(space, topo,
                                     controller_->logical_configs());
     PathTableBuilder builder(space, topo, provider, tag_bits_);
     publish(std::make_shared<const PathTable>(builder.build()),
-            dirty_ ? dirty_from_ : 0);
+            !updater_ && dirty_ ? dirty_from_ : 0);
+    updater_.reset();  // after a fallback: the updater and its arena go
+    space_.reset();
   }
   dirty_ = false;
 }
@@ -96,7 +135,7 @@ void Server::ensure_fresh() {
       failsafe_events_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (updater_) {
+  if (mode_ == Mode::kIncremental) {
     updater_->apply_batch(deferred_);
     deferred_.clear();
     publish_in_place();

@@ -8,10 +8,14 @@
 // the next verify / verify_batch / table / stats call brings the table
 // up to date first (ensure_fresh, the one place events are applied).
 // Two maintenance modes:
-//  * kIncremental — rules must be dst-prefix-only with priority equal to
-//    prefix length and no ACLs (§4.4's fragment); the queued events are
-//    applied in order via IncrementalUpdater, O(affected branches) each,
-//    editing the table in place in one arena (the constructor's `space`).
+//  * kIncremental — for §4.4's fragment: dst-prefix-only rules with
+//    priority equal to prefix length, no rewrites and no ACL but
+//    permit-all. The queued events are applied in order via
+//    IncrementalUpdater, O(affected branches) each, editing the table in
+//    place in one arena (the constructor's `space`). The server checks
+//    the fragment at sync() and on every rule event; on a miss it serves
+//    kFullRebuild from then on, and mode() says so. (An ACL set after
+//    sync() publishes no event, so neither mode sees it.)
 //  * kFullRebuild — arbitrary rules/ACLs; the table is rebuilt from the
 //    controller's logical configs, every build in a fresh HeaderSpace
 //    (BDD arena). Node creation needs exclusive use of an arena
@@ -94,6 +98,8 @@ class Server {
 
   [[nodiscard]] const PathTable& table();
   [[nodiscard]] PathTableStats stats();
+  /// The serving mode: a kIncremental server reports kFullRebuild once
+  /// its configuration left §4.4's fragment.
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] int tag_bits() const { return tag_bits_; }
 
@@ -112,8 +118,9 @@ class Server {
   /// epoch the current table was built at, `ranges` the retained ring
   /// (kFullRebuild + epoch checking only). Holding the pointer keeps
   /// kFullRebuild tables and their arenas alive; a kIncremental
-  /// snapshot's current table is the updater's and changes at the next
-  /// refresh after a rule event.
+  /// snapshot's current table is the updater's: it changes at the next
+  /// refresh after a rule event, and dies with the updater when the
+  /// server falls back to kFullRebuild.
   [[nodiscard]] std::shared_ptr<const EpochSnapshot> snapshot() const {
     return snap_;
   }

@@ -243,17 +243,19 @@ TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
     server.set_publish_fault([&] { return wedged; });
 
     // Wedge, then churn: the server may not absorb these events. The
-    // blackholes are NEW host /32s on the transit switch — in-fragment
-    // for the incremental updater (RuleTree no-ops duplicate prefixes,
-    // so re-dropping a subnet at its own edge switch would be silently
+    // blackholes are NEW host /32s on the transit switch at priority 32
+    // — in-fragment for the incremental updater, so kIncremental keeps
+    // its mode and replays them (RuleTree no-ops duplicate prefixes, so
+    // re-dropping a subnet at its own edge switch would be silently
     // ignored on replay).
     wedged = true;
-    c.add_rule(1, 1000, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 2, 1), 32}),
+    c.add_rule(1, 32, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 2, 1), 32}),
                Action::drop());
-    c.add_rule(1, 1001, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 0, 1), 32}),
+    c.add_rule(1, 32, Match::dst_prefix(Prefix{Ipv4::of(10, 0, 0, 1), 32}),
                Action::drop());
     c.deploy(net);
     net.set_config_epoch(c.epoch());
+    EXPECT_EQ(server.mode(), mode) << "churn stays inside the fragment";
 
     // Reports sampled under the post-churn config, verified by a server
     // stuck on the pre-churn table: pass or stale, never failed.
@@ -289,6 +291,7 @@ TEST(ControlChaos, SequentialFailsafeServesLastGoodAndRecovers) {
                                 "config conclusively (mode "
                              << static_cast<int>(mode) << ")";
     EXPECT_EQ(server.snapshot()->table_valid_from, c.epoch());
+    EXPECT_EQ(server.mode(), mode);
   }
 }
 

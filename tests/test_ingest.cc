@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "controller/routing.hpp"
 #include "dataplane/wire.hpp"
@@ -293,9 +294,15 @@ TEST(Ingest, GovernedRegimesApplyTheirDeclaredPolicies) {
   EXPECT_EQ(h.failed, 0u);
 }
 
+// Failed reports leave the ingest through the verdict sink; its
+// consumer keeps them as the inputs for localization.
 TEST(Ingest, FailuresAreKeptForLocalization) {
   Rig rig;
   ReportIngest ingest(rig.server);
+  std::vector<TagReport> failures;
+  ingest.set_verdict_sink([&failures](const TagReport& r, const Verdict& v) {
+    if (v.failed()) failures.push_back(r);
+  });
   TagReport bogus = rig.one_report();
   bogus.outport = PortKey{2, 9};  // a port the logical config never uses
   bogus.seq = 100;
@@ -303,8 +310,37 @@ TEST(Ingest, FailuresAreKeptForLocalization) {
   ingest.process();
   const IngestHealth h = ingest.health();
   EXPECT_EQ(h.failed, 1u);
-  ASSERT_EQ(ingest.recent_failures().size(), 1u);
-  EXPECT_EQ(ingest.recent_failures().front().outport, bogus.outport);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures.front().outport, bogus.outport);
+}
+
+// The Intake both servers run, on its own: dedup is per switch and
+// skips seq 0, admission is the policy's at the caller's depth, and
+// every offer lands in exactly one intake bucket or is admitted.
+TEST(Intake, DedupsPerSwitchThenAdmitsByPolicy) {
+  constexpr auto kAll = AdmissionPolicy::kVerifyAll;
+  Intake intake(/*capacity=*/4, /*dedup_window=*/64);
+  EXPECT_TRUE(intake.offer(1, 7, kAll, 0, 4));
+  EXPECT_FALSE(intake.offer(1, 7, kAll, 1, 4)) << "repeat seq: deduped";
+  EXPECT_TRUE(intake.offer(2, 7, kAll, 1, 4)) << "seq spaces are per switch";
+  EXPECT_TRUE(intake.offer(1, 0, kAll, 2, 4)) << "seq 0 is never deduped";
+  EXPECT_TRUE(intake.offer(1, 0, kAll, 3, 4));
+  EXPECT_FALSE(intake.offer(1, 8, kAll, 4, 4)) << "full: shed";
+  EXPECT_FALSE(intake.offer(1, 9, AdmissionPolicy::kDeterministicSample, 0, 4))
+      << "9 % 4 != 0: shed";
+  EXPECT_TRUE(intake.offer(1, 12, AdmissionPolicy::kDeterministicSample, 0, 4));
+  EXPECT_FALSE(intake.offer(1, 16, AdmissionPolicy::kQuarantineOnly, 0, 4));
+  intake.quarantine();
+
+  IngestHealth h;
+  intake.fold_into(h);
+  EXPECT_EQ(h.received, 10u);
+  EXPECT_EQ(h.deduped, 1u);
+  EXPECT_EQ(h.shed, 3u);
+  EXPECT_EQ(h.quarantined, 1u);
+  EXPECT_EQ(h.received - h.accounted(), 5u) << "the admitted offers";
+  // Switch 1 saw seqs 7, 8, 9, 12, 16: span 10, 5 unique. Switch 2: 7.
+  EXPECT_EQ(h.lost_estimate, 5u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <unordered_map>
 
@@ -25,6 +26,32 @@
 #include "veridp/workload.hpp"
 
 namespace veridp {
+
+/// A lane's queue, reached directly: no worker ever over-reports, and
+/// stop() closes the lanes only once workers run, so only a test can
+/// drive a lane this way.
+struct ParallelServerTestPeer {
+  static void task_done(ParallelServer& ps, std::size_t lane,
+                        std::size_t n) {
+    ps.lanes_[lane]->task_done(n);
+  }
+  static std::size_t pop(ParallelServer& ps, std::size_t lane,
+                         std::vector<TagReport>& out, std::size_t max) {
+    ParallelServer::Lane& l = *ps.lanes_[lane];
+    MutexLock lk(l.mu);
+    return l.pop(out, max);
+  }
+  static std::size_t pop_for(ParallelServer& ps, std::size_t lane,
+                             std::vector<TagReport>& out, std::size_t max,
+                             std::chrono::microseconds timeout) {
+    return ps.lanes_[lane]->pop_for(out, max, timeout);
+  }
+  /// What stop() does to each lane, without workers to join.
+  static void close(ParallelServer& ps, std::size_t lane) {
+    ps.lanes_[lane]->close();
+  }
+};
+
 namespace {
 
 /// One deployment shared by a sequential oracle and a parallel server:
@@ -304,7 +331,6 @@ TEST(ParallelServer, ChaosStreamProducersWorkersMatchSequentialOracle) {
   icfg.capacity = 1 << 16;
   icfg.high_watermark = (1 << 16) - 1;
   icfg.dedup_window = 1 << 16;
-  icfg.failure_keep = 1 << 16;
   ReportIngest oracle_ingest(oracle_server, icfg);
   for (const auto& d : datagrams) oracle_ingest.offer(d);
   oracle_ingest.process();
@@ -446,6 +472,199 @@ TEST(ParallelServer, MemoHitsStayInsideTheVerifiedLedger) {
   EXPECT_TRUE(h.conserved());
   EXPECT_EQ(h.memo_hits, parallel.profiler().totals().memo_hits)
       << "health ledger and profiler attribution agree";
+}
+
+// Completing more reports than a lane holds is a worker accounting bug:
+// debug builds abort (the assert names the lane), release builds clamp
+// but record the excess, so drain() is never released silently by
+// inflated completions.
+TEST(ParallelServer, LaneTaskDoneOverReportIsLoudNotSilent) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rig rig(linear(3));
+  ParallelConfig cfg = never_shed(1);
+  ParallelServer parallel(rig.controller, cfg);
+  rig.install_and_deploy();
+  parallel.sync();
+  ASSERT_TRUE(parallel.submit(rig.collect_reports().front()));
+#ifdef NDEBUG
+  ParallelServerTestPeer::task_done(parallel, 0, 3);  // 2 more than queued
+  EXPECT_EQ(parallel.queue_over_reported(), 2u);
+  parallel.drain();  // clamped to 0: still returns
+  ParallelServerTestPeer::task_done(parallel, 0, 1);
+  EXPECT_EQ(parallel.queue_over_reported(), 3u) << "cumulative";
+#else
+  EXPECT_DEATH(ParallelServerTestPeer::task_done(parallel, 0, 3),
+               "task_done over-report");
+#endif
+}
+
+// The MpmcQueue suite pins the single-thread semantics of a lane's
+// bounded queue — every producer pushes into it, its owner and thieves
+// pop from it — through a one-worker server whose workers never start
+// unless a test says so: one lane, driven by submit() and the peer.
+// seq 0 is never deduplicated, so a report can be submitted repeatedly.
+TagReport unsequenced(TagReport r) {
+  r.seq = 0;
+  return r;
+}
+
+TEST(MpmcQueue, TaskDoneExactAccountingReachesIdle) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(1));
+  rig.install_and_deploy();
+  const TagReport r = unsequenced(rig.collect_reports().front());
+  ASSERT_TRUE(parallel.submit(r));
+  ASSERT_TRUE(parallel.submit(r));
+  std::vector<TagReport> out;
+  EXPECT_EQ(ParallelServerTestPeer::pop(parallel, 0, out, 8), 2u);
+  ParallelServerTestPeer::task_done(parallel, 0, 2);
+  parallel.drain();  // returns at once: every pushed report is done
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+  EXPECT_EQ(parallel.health().in_queue, 0u);
+}
+
+TEST(MpmcQueue, CloseRejectsPushesButDrainsQueuedItems) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(1));
+  rig.install_and_deploy();
+  const std::vector<TagReport> reports = rig.collect_reports();
+  ASSERT_GT(reports.size(), 1u);
+  ASSERT_TRUE(parallel.submit(unsequenced(reports[0])));
+  ParallelServerTestPeer::close(parallel, 0);
+  EXPECT_FALSE(parallel.submit(unsequenced(reports[1])));
+  EXPECT_EQ(parallel.health().shed, 1u) << "a closed lane sheds";
+  EXPECT_EQ(parallel.health().in_queue, 1u) << "closed but not yet empty";
+  std::vector<TagReport> out;
+  EXPECT_EQ(ParallelServerTestPeer::pop(parallel, 0, out, 4), 1u)
+      << "the queued report survives close";
+  EXPECT_TRUE(out.front().header == reports[0].header);
+  ParallelServerTestPeer::task_done(parallel, 0, 1);
+  EXPECT_EQ(parallel.health().in_queue, 0u);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ParallelServerTestPeer::pop_for(parallel, 0, out, 4,
+                                            std::chrono::seconds(60)),
+            0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30))
+      << "closed-and-empty: the worker leaves without waiting";
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+}
+
+TEST(MpmcQueue, OpenRearmsAfterClose) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(1));
+  rig.install_and_deploy();
+  const TagReport r = unsequenced(rig.collect_reports().front());
+  parallel.start();
+  parallel.stop();  // closes the lane
+  EXPECT_FALSE(parallel.submit(r));
+  parallel.start();  // re-opens it
+  EXPECT_TRUE(parallel.submit(r)) << "start() must re-admit work";
+  parallel.drain();
+  parallel.stop();
+  const IngestHealth h = parallel.health();
+  EXPECT_EQ(h.shed, 1u);
+  EXPECT_EQ(h.verified, 1u);
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+}
+
+TEST(MpmcQueue, TryPopBatchNeverBlocks) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(1));
+  rig.install_and_deploy();
+  const TagReport r = unsequenced(rig.collect_reports().front());
+  std::vector<TagReport> out{r};
+  EXPECT_EQ(ParallelServerTestPeer::pop(parallel, 0, out, 4), 0u)
+      << "empty: returns, no wait";
+  EXPECT_TRUE(out.empty()) << "out is cleared even on 0";
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(parallel.submit(r));
+  EXPECT_EQ(ParallelServerTestPeer::pop(parallel, 0, out, 4), 4u)
+      << "bounded by max";
+  EXPECT_EQ(ParallelServerTestPeer::pop(parallel, 0, out, 4), 2u)
+      << "then by what remains";
+  ParallelServerTestPeer::task_done(parallel, 0, 6);
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+}
+
+TEST(MpmcQueue, PopBatchForReturnsImmediatelyWhenClosedOrNonEmpty) {
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(1));
+  rig.install_and_deploy();
+  ASSERT_TRUE(parallel.submit(unsequenced(rig.collect_reports().front())));
+  std::vector<TagReport> out;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ParallelServerTestPeer::pop_for(parallel, 0, out, 4,
+                                            std::chrono::seconds(60)),
+            1u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30))
+      << "reports ready: no wait at all";
+  ParallelServerTestPeer::task_done(parallel, 0, 1);
+  ParallelServerTestPeer::close(parallel, 0);
+  const auto t1 = std::chrono::steady_clock::now();
+  EXPECT_EQ(ParallelServerTestPeer::pop_for(parallel, 0, out, 4,
+                                            std::chrono::seconds(60)),
+            0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(30))
+      << "closed-and-empty: no wait either";
+}
+
+// stop() lets the workers verify what the lanes still hold before they
+// exit; a report submitted after stop() is counted shed, not lost.
+TEST(ParallelServer, StopDrainsQueuedReportsThenShedsSubmits) {
+  Rig rig(fat_tree(4));
+  ParallelServer parallel(rig.controller, never_shed(2));
+  rig.install_and_deploy();
+  parallel.sync();
+  const std::vector<TagReport> reports = rig.collect_reports();
+  ASSERT_GT(reports.size(), 1u);
+  for (TagReport r : reports) {
+    r.seq = 0;
+    ASSERT_TRUE(parallel.submit(r));
+  }
+  parallel.start();
+  parallel.stop();  // no drain(): stop() itself empties the lanes
+  IngestHealth h = parallel.health();
+  EXPECT_EQ(h.verified, reports.size());
+  EXPECT_EQ(h.in_queue, 0u);
+
+  EXPECT_FALSE(parallel.submit(reports.front())) << "stopped: shed";
+  EXPECT_FALSE(parallel.submit_datagram({0xde, 0xad}));
+  h = parallel.health();
+  EXPECT_EQ(h.received, reports.size() + 2);
+  EXPECT_EQ(h.shed, 1u);
+  EXPECT_EQ(h.quarantined, 1u);
+  EXPECT_EQ(h.in_queue, 0u);
+  EXPECT_TRUE(h.conserved());
+  EXPECT_EQ(parallel.queue_over_reported(), 0u);
+}
+
+// A worker with nothing to do anywhere parks on its own lane with a
+// timeout, then rescans its siblings: every worker must come back for a
+// second steal attempt, and late work must still be served.
+TEST(ParallelServer, IdleWorkersParkWithATimeout) {
+  constexpr unsigned kWorkers = 3;
+  Rig rig(linear(3));
+  ParallelServer parallel(rig.controller, never_shed(kWorkers));
+  rig.install_and_deploy();
+  parallel.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (unsigned w = 0; w < kWorkers; ++w)
+    while (parallel.profiler().slot_totals(w).steal_attempts < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (unsigned w = 0; w < kWorkers; ++w)
+    EXPECT_GE(parallel.profiler().slot_totals(w).steal_attempts, 2u)
+        << "worker " << w << " never returned from its park";
+  EXPECT_GT(parallel.profiler().totals().queue_wait_ns, 0u);
+
+  const std::vector<TagReport> late = rig.collect_reports();
+  for (TagReport r : late) {
+    r.seq = 0;
+    ASSERT_TRUE(parallel.submit(r));
+  }
+  parallel.drain();
+  parallel.stop();
+  EXPECT_EQ(parallel.health().passed, late.size());
 }
 
 // batch_size = 0 means "autotune" (the sequential ingest's chunk); it

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "controller/routing.hpp"
 #include "dataplane/fault.hpp"
@@ -49,6 +50,7 @@ TEST(Server, IncrementalModeMatchesFullRebuild) {
   routing::install_shortest_paths(c);
   inc.sync();
   full.sync();
+  ASSERT_EQ(inc.mode(), Server::Mode::kIncremental) << "no fallback";
   ConfigTransferProvider provider(shared, topo, c.logical_configs());
   const PathTable reference =
       PathTableBuilder(shared, topo, provider).build();
@@ -95,6 +97,121 @@ TEST(Server, RuleEventsKeepIncrementalTableFresh) {
       header(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 2, 7)), PortKey{0, 3});
   EXPECT_EQ(r2.disposition, Disposition::kDelivered);
   EXPECT_TRUE(server.verify(r2.reports[0]).ok());
+}
+
+/// Injects `ping_all` once and verifies every report; returns
+/// {reports, failed}.
+std::pair<std::size_t, std::size_t> verify_ping_all(Server& server,
+                                                   Network& net,
+                                                   const Topology& topo) {
+  std::size_t reports = 0, failed = 0;
+  for (const auto& flow : workload::ping_all(topo))
+    for (const TagReport& rep : net.inject(flow.header, flow.entry).reports) {
+      ++reports;
+      if (server.verify(rep).failed()) ++failed;
+    }
+  return {reports, failed};
+}
+
+// A kIncremental server whose configuration holds an ACL at sync() is
+// outside §4.4's fragment (RuleTreeProvider ignores ACLs): it serves
+// kFullRebuild instead of failing the reports the ACL drops.
+TEST(Server, IncrementalFallsBackOnAnAclAtSync) {
+  Topology topo = linear(3);
+  Controller c(topo);
+  Server server(c, Server::Mode::kIncremental);
+  routing::install_shortest_paths(c);
+  const PortKey entry = workload::ping_all(topo).front().entry;
+  c.set_in_acl(entry.sw, entry.port, Acl(/*default_permit=*/false));
+  server.sync();
+  EXPECT_EQ(server.mode(), Server::Mode::kFullRebuild);
+  Network net(topo);
+  c.deploy(net);
+  const auto [reports, failed] = verify_ping_all(server, net, topo);
+  EXPECT_EQ(reports, 6u);
+  EXPECT_EQ(failed, 0u);
+}
+
+// A rule whose priority is not its prefix length is outside §4.4's
+// fragment: the /32 drop at priority 1 never wins over the /24 route in
+// the data plane, but the updater would model it as the longest match.
+TEST(Server, IncrementalFallsBackOnARuleOutsideTheFragment) {
+  Topology topo = linear(3);
+  Controller c(topo);
+  Server server(c, Server::Mode::kIncremental);
+  routing::install_shortest_paths(c);
+  server.sync();
+  ASSERT_EQ(server.mode(), Server::Mode::kIncremental);
+  const workload::Flow first = workload::ping_all(topo).front();
+  c.add_rule(first.entry.sw, 1,
+             Match::dst_prefix(Prefix{first.header.dst_ip, 32}),
+             Action::drop());
+  EXPECT_EQ(server.mode(), Server::Mode::kFullRebuild);
+  Network net(topo);
+  c.deploy(net);
+  const auto [reports, failed] = verify_ping_all(server, net, topo);
+  EXPECT_EQ(reports, 6u);
+  EXPECT_EQ(failed, 0u);
+}
+
+// The snapshot a fallback replaces aliases the updater's table, so the
+// first full-rebuild snapshot retires nothing into the epoch ring: a
+// retained alias would dangle once the updater is gone. Reports of the
+// old epoch fall to the grace window instead.
+TEST(Server, IncrementalFallbackRetiresNoAliasedTable) {
+  Topology topo = linear(3);
+  Controller c(topo);
+  Server server(c, Server::Mode::kIncremental);
+  server.enable_epoch_checking();
+  routing::install_shortest_paths(c);
+  server.sync();
+  Network net(topo);
+  c.deploy(net);
+  net.set_config_epoch(c.epoch());
+  const workload::Flow first = workload::ping_all(topo).front();
+  const auto before = net.inject(first.header, first.entry);
+  ASSERT_EQ(before.reports.size(), 1u);
+
+  c.add_rule(first.entry.sw, 1,
+             Match::dst_prefix(Prefix{first.header.dst_ip, 32}),
+             Action::drop());
+  EXPECT_TRUE(server.verify(before.reports[0]).ok());
+  EXPECT_EQ(server.mode(), Server::Mode::kFullRebuild);
+  EXPECT_TRUE(server.snapshot()->ranges.empty());
+}
+
+// The churn perfbench's internet2_churn runs — /29 and /30 rules at
+// priority == prefix length — stays inside the fragment and on the
+// updater.
+TEST(Server, FragmentChurnKeepsIncrementalMode) {
+  Topology topo = internet2_like(2);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Rng rng(21);
+  ASSERT_GT(workload::add_specific_rules(c, rng, 100), 0u);
+  Server server(c, Server::Mode::kIncremental);
+  server.sync();
+  const auto& subnets = topo.subnets();
+  const auto n = static_cast<std::uint32_t>(subnets.size());
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    const auto& [port, subnet] = subnets[i % n];
+    const auto len = static_cast<std::uint8_t>(29 + i % 2);
+    const Prefix p{subnet.addr + 8 * (i / n), len};
+    ASSERT_TRUE(subnet.contains(p));
+    const RuleId id =
+        c.add_rule(port.sw, len, Match::dst_prefix(p), Action::drop());
+    (void)server.table();
+    if (i % 3 == 0) {
+      ASSERT_TRUE(c.delete_rule(port.sw, id));
+    }
+  }
+  EXPECT_EQ(server.mode(), Server::Mode::kIncremental);
+  Network net(topo);
+  c.deploy(net);
+  const auto [reports, failed] = verify_ping_all(server, net, topo);
+  EXPECT_GT(reports, 0u);
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(server.mode(), Server::Mode::kIncremental);
 }
 
 TEST(Server, FullRebuildModeIsLazyButFresh) {

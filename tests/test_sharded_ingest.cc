@@ -239,6 +239,30 @@ TEST(ShardedIngest, SheddingUnderOverloadStillConserves) {
   EXPECT_EQ(h.verified + h.shed + h.deduped + h.quarantined, h.received);
 }
 
+// The hard bound splits evenly across the lanes: with 2 lanes and a
+// queue_capacity of 8, concurrent producers flooding one switch fill its
+// lane to exactly 4 — admission reads the exact depth under the lane's
+// lock — and the rest is shed.
+TEST(ShardedIngest, LaneHoldsAtMostItsShareOfQueueCapacity) {
+  Rig rig(linear(3));
+  ParallelConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = 8;
+  cfg.high_watermark = 4;
+  ParallelServer ps(rig.controller, cfg);
+  rig.deploy();
+  ps.sync();
+  TagReport r = rig.one_report_per_switch().front();
+  r.seq = 0;  // never deduplicated, always in the shed sample
+  const std::vector<TagReport> flood(200, r);
+  fan_out(ps, flood, /*producers=*/4);
+  EXPECT_EQ(ps.queue_depth(), 4u);
+  const IngestHealth h = ps.health();
+  EXPECT_EQ(h.in_queue, 4u);
+  EXPECT_EQ(h.shed, flood.size() - 4);
+  EXPECT_TRUE(h.conserved());
+}
+
 // Admission parity: a fresh ReportIngest and an unstarted 1-lane
 // ParallelServer with equal bounds (capacity 16, watermark 8, modulus
 // 4), fed seqs 1..n of one switch. Returns the seqs each admitted.

@@ -18,8 +18,8 @@ Declared hierarchy, parsed from src/:
      named declaration in the same file.
   3. Comment form, for cross-class edges clang's attribute scoping
      cannot express (the argument is another class's registered name):
-         // ACQUIRED_BEFORE("BoundedMpmcQueue::mu")
-         mutable Mutex mu{"ParallelServer::Lane::mu"};
+         // ACQUIRED_BEFORE("Fixture::Inner::mu")
+         mutable Mutex mu{"Fixture::Outer::mu"};
      The comment binds to the next named-lock declaration below it.
      ACQUIRED_AFTER forms reverse the edge direction in both shapes.
 

@@ -373,7 +373,6 @@ int cmd_parallel(Topology topo, const ChannelConfig& ccfg, int rounds,
   pcfg.queue_capacity = 1u << 16;
   pcfg.high_watermark = (1u << 16) - 1;
   pcfg.dedup_window = 1u << 16;
-  pcfg.failure_keep = 1u << 16;
   ParallelServer parallel(c, pcfg);
   parallel.enable_epoch_checking();
   routing::install_shortest_paths(c);
@@ -416,7 +415,6 @@ int cmd_parallel(Topology topo, const ChannelConfig& ccfg, int rounds,
   icfg.capacity = 1u << 16;
   icfg.high_watermark = (1u << 16) - 1;
   icfg.dedup_window = 1u << 16;
-  icfg.failure_keep = 1u << 16;
   ReportIngest ingest(oracle, icfg);
   for (const auto& d : datagrams) ingest.offer(d);
   ingest.process();
