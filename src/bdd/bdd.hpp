@@ -371,6 +371,7 @@ class BddManager {
   // Leaf lock: sat_count never acquires another veridp lock while
   // holding the memo, so no declared-order edges originate here.
   mutable SharedMutex count_mu_{"BddManager::count_mu"};
+  // veridp-lint: allow(hot-path-node-map, sat_count memo, not per report)
   mutable std::unordered_map<BddRef, double> count_cache_
       GUARDED_BY(count_mu_);
 

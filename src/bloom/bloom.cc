@@ -22,10 +22,16 @@ std::uint64_t BloomTag::hop_mask(const Hop& h) const {
   const std::uint32_t m = murmur3_32(wire);
   const std::uint32_t h1 = m & 0xffff;
   const std::uint32_t h2 = m >> 16;
+  // g mod bits: for a power-of-two width that is a mask of the low bits,
+  // which spares the three divisions per hop.
+  const auto width = static_cast<std::uint32_t>(bits_);
   std::uint64_t mask = 0;
-  for (std::uint32_t i = 0; i < kNumHashes; ++i) {
-    const std::uint32_t g = h1 + i * h2;
-    mask |= std::uint64_t{1} << (g % static_cast<std::uint32_t>(bits_));
+  if (std::has_single_bit(width)) {
+    for (std::uint32_t i = 0; i < kNumHashes; ++i)
+      mask |= std::uint64_t{1} << ((h1 + i * h2) & (width - 1));
+  } else {
+    for (std::uint32_t i = 0; i < kNumHashes; ++i)
+      mask |= std::uint64_t{1} << ((h1 + i * h2) % width);
   }
   return mask;
 }

@@ -4,6 +4,8 @@
 
 namespace veridp {
 
+// veridp-lint: hot-path
+
 Network::Network(Topology topo, int tag_bits)
     : topo_(std::move(topo)), tag_bits_(tag_bits) {
   switches_.reserve(topo_.num_switches());
@@ -15,6 +17,7 @@ ForwardResult Network::inject(const PacketHeader& h, PortKey entry, double t,
                               std::uint32_t size_bytes) {
   assert(topo_.is_edge_port(entry));
   ForwardResult result;
+  result.path.reserve(kMaxPathLength);
   Packet p;
   p.header = h;
   p.size_bytes = size_bytes;

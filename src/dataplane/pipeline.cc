@@ -4,6 +4,8 @@
 
 namespace veridp {
 
+// veridp-lint: hot-path
+
 std::uint16_t encode_inport(PortKey p) {
   assert(p.sw < 256 && p.port >= 1 && p.port < 64);
   return static_cast<std::uint16_t>((p.sw << 6) | p.port);

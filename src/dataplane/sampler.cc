@@ -1,22 +1,67 @@
 #include "dataplane/sampler.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 namespace veridp {
 
+// veridp-lint: hot-path
+
 bool FlowSampler::sample(const PacketHeader& flow, double t) {
   double interval = default_interval_;
-  if (auto it = intervals_.find(flow); it != intervals_.end())
-    interval = it->second;
+  if (!intervals_.empty())
+    if (auto it = intervals_.find(flow); it != intervals_.end())
+      interval = it->second;
 
-  auto [it, inserted] =
-      last_.try_emplace(flow, -std::numeric_limits<double>::infinity());
+  double& last = last_sampled(flow);
   // The paper's rule is "sample when more than `interval` has passed".
   // Sample-everything mode (interval 0) must also catch back-to-back
   // packets with equal timestamps, so interval 0 samples unconditionally.
-  const bool due = interval == 0.0 ? true : (t - it->second > interval);
-  if (due) it->second = t;
+  const bool due = interval == 0.0 ? true : (t - last > interval);
+  if (due) last = t;
   return due;
+}
+
+void FlowSampler::clear() {
+  for (Slot& s : slots_) s.used = false;
+  size_ = 0;
+}
+
+std::size_t FlowSampler::home(const PacketHeader& flow) const {
+  // Multiplicative hashing: the top bits of each product depend on every
+  // bit of its word.
+  const auto w = flow.bits_packed();
+  const std::uint64_t h =
+      w[0] * 0x9e3779b97f4a7c15ULL + w[1] * 0xc2b2ae3d27d4eb4fULL;
+  return static_cast<std::size_t>(h >> shift_);
+}
+
+double& FlowSampler::last_sampled(const PacketHeader& flow) {
+  // Growing before the probe keeps the load at most one half even if the
+  // flow is new, so the probe ends at the flow or at a free slot.
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(flow);
+  for (; slots_[i].used; i = (i + 1) & mask)
+    if (slots_[i].flow == flow) return slots_[i].last;
+  ++size_;
+  slots_[i] = Slot{flow, true, -std::numeric_limits<double>::infinity()};
+  return slots_[i].last;
+}
+
+void FlowSampler::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (!s.used) continue;
+    std::size_t i = home(s.flow);
+    while (slots_[i].used) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 bool ArrayFlowSampler::sample(const PacketHeader& flow, double t) {

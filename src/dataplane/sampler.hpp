@@ -8,16 +8,20 @@
 //
 // Two implementations are provided, matching the paper's two prototypes:
 //  * FlowSampler — hash table of active flows (the Open vSwitch pipeline),
+//    open-addressed so the per-packet probe touches one flat array,
 //  * ArrayFlowSampler — fixed-capacity array with last-hit-based
 //    replacement (the FPGA/ONetSwitch pipeline, which cannot grow state).
 #pragma once
 
+#include <cstddef>
 #include <unordered_map>
 #include <vector>
 
 #include "header/packet_header.hpp"
 
 namespace veridp {
+
+// veridp-lint: hot-path
 
 /// Chooses T_s so that detection latency <= tau given the flow's maximum
 /// inter-packet-arrival time T_a (returns 0, sample-everything, if the
@@ -50,13 +54,30 @@ class FlowSampler {
   /// Should the packet arriving at time `t` be marked? Updates t^f.
   bool sample(const PacketHeader& flow, double t);
 
-  [[nodiscard]] std::size_t active_flows() const { return last_.size(); }
-  void clear() { last_.clear(); }
+  [[nodiscard]] std::size_t active_flows() const { return size_; }
+  /// Forgets every t^f (per-flow intervals stay).
+  void clear();
 
  private:
+  struct Slot {
+    PacketHeader flow;
+    bool used = false;
+    double last = 0.0;  ///< t^f
+  };
+
+  /// t^f of `flow`; a flow seen for the first time gets -inf.
+  double& last_sampled(const PacketHeader& flow);
+  [[nodiscard]] std::size_t home(const PacketHeader& flow) const;
+  void grow();
+
   double default_interval_;
+  // veridp-lint: allow(hot-path-node-map, probed only once one is set)
   std::unordered_map<PacketHeader, double> intervals_;
-  std::unordered_map<PacketHeader, double> last_;
+  // t^f per flow: linear probing over a power-of-two table at most half
+  // full, keys compared in full.
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;  ///< home() keeps the top log2(slots_.size()) hash bits
 };
 
 /// Fixed-capacity flow sampler (hardware pipeline): an array of slots,

@@ -2,6 +2,8 @@
 
 namespace veridp {
 
+// veridp-lint: hot-path
+
 PortId Switch::forward(PacketHeader& h, PortId x) const {
   if (!config_.in_acl(x).permits(h)) return kDropPort;
   const FlowRule* rule = config_.table.lookup(h, x);

@@ -106,6 +106,7 @@ void FlowTable::rebuild() const {
   if (!ignore_priority_) {
     for (std::uint32_t i = 0; i < rules_.size(); ++i) rank(i);
   } else {
+    // veridp-lint: allow(hot-path-node-map, rebuild, not per lookup)
     std::unordered_map<RuleId, std::uint32_t> first;  // what find(id) hits
     first.reserve(rules_.size());
     for (auto i = static_cast<std::uint32_t>(rules_.size()); i-- > 0;)

@@ -9,6 +9,8 @@ SwitchId Topology::add_switch(std::string name, PortId num_ports) {
   assert(num_ports >= 1);
   const SwitchId id = static_cast<SwitchId>(ports_.size());
   ports_.push_back(num_ports);
+  first_slot_.push_back(peers_.size());
+  peers_.resize(peers_.size() + num_ports);
   by_name_.emplace(name, id);
   names_.push_back(std::move(name));
   return id;
@@ -16,31 +18,28 @@ SwitchId Topology::add_switch(std::string name, PortId num_ports) {
 
 void Topology::add_link(PortKey a, PortKey b) {
   assert(valid_port(a) && valid_port(b));
-  assert(!links_.contains(a) && !links_.contains(b));
-  links_.emplace(a, b);
-  links_.emplace(b, a);
+  assert(!peers_[slot(a)].valid() && !peers_[slot(b)].valid());
+  peers_[slot(a)] = b;
+  peers_[slot(b)] = a;
 }
 
 void Topology::add_middlebox(PortKey p) {
   assert(valid_port(p));
-  assert(!links_.contains(p));
-  links_.emplace(p, p);
+  assert(!peers_[slot(p)].valid());
+  peers_[slot(p)] = p;
 }
 
-std::optional<PortKey> Topology::peer(PortKey p) const {
-  if (auto it = links_.find(p); it != links_.end()) return it->second;
-  return std::nullopt;
-}
-
-bool Topology::is_edge_port(PortKey p) const {
-  return valid_port(p) && !links_.contains(p);
+std::size_t Topology::num_links() const {
+  std::size_t ends = 0;
+  for (const PortKey& q : peers_) ends += q.valid() ? 1 : 0;
+  return ends / 2;
 }
 
 std::vector<PortKey> Topology::edge_ports() const {
   std::vector<PortKey> out;
   for (SwitchId s = 0; s < ports_.size(); ++s)
     for (PortId x = 1; x <= ports_[s]; ++x)
-      if (PortKey pk{s, x}; !links_.contains(pk)) out.push_back(pk);
+      if (PortKey pk{s, x}; is_edge_port(pk)) out.push_back(pk);
   return out;
 }
 

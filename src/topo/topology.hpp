@@ -8,6 +8,7 @@
 // that mapping.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -17,6 +18,8 @@
 #include "common/types.hpp"
 
 namespace veridp {
+
+// veridp-lint: hot-path
 
 class Topology {
  public:
@@ -34,11 +37,18 @@ class Topology {
   void add_middlebox(PortKey p);
 
   /// The port at the other end of `p`'s link, or nullopt if `p` is an
-  /// edge port (not wired to another switch).
-  [[nodiscard]] std::optional<PortKey> peer(PortKey p) const;
+  /// edge port (not wired to another switch) or names no port.
+  [[nodiscard]] std::optional<PortKey> peer(PortKey p) const {
+    if (!valid_port(p)) return std::nullopt;
+    const PortKey q = peers_[slot(p)];
+    if (!q.valid()) return std::nullopt;
+    return q;
+  }
 
   /// True iff `p` names an existing port with no inter-switch link.
-  [[nodiscard]] bool is_edge_port(PortKey p) const;
+  [[nodiscard]] bool is_edge_port(PortKey p) const {
+    return valid_port(p) && !peers_[slot(p)].valid();
+  }
 
   /// All edge ports, in deterministic (switch, port) order.
   [[nodiscard]] std::vector<PortKey> edge_ports() const;
@@ -78,14 +88,26 @@ class Topology {
   [[nodiscard]] std::vector<std::pair<PortId, PortKey>> neighbors(
       SwitchId s) const;
 
-  /// Total number of inter-switch links.
-  [[nodiscard]] std::size_t num_links() const { return links_.size() / 2; }
+  /// Total number of inter-switch links: linked port ends over two, where
+  /// a middlebox port counts as one end.
+  [[nodiscard]] std::size_t num_links() const;
 
  private:
-  std::vector<PortId> ports_;       // per switch: number of ports
+  /// Index of valid port `p` in `peers_`.
+  [[nodiscard]] std::size_t slot(PortKey p) const {
+    return first_slot_[static_cast<std::size_t>(p.sw)] + p.port - 1;
+  }
+
+  std::vector<PortId> ports_;            // per switch: number of ports
+  std::vector<std::size_t> first_slot_;  // per switch: peers_ index of port 1
+  // Per port, switch by switch: the linked port, or an invalid PortKey for
+  // an edge port. Both ends of a link hold each other; a middlebox port
+  // holds itself.
+  std::vector<PortKey> peers_;
   std::vector<std::string> names_;  // per switch: display name
+  // veridp-lint: allow(hot-path-node-map, name lookup at set-up)
   std::unordered_map<std::string, SwitchId> by_name_;
-  std::unordered_map<PortKey, PortKey> links_;  // both directions
+  // veridp-lint: allow(hot-path-node-map, subnet queries at set-up)
   std::unordered_map<PortKey, Prefix> subnet_by_port_;
   std::vector<std::pair<PortKey, Prefix>> subnets_;
 };

@@ -85,6 +85,8 @@ class SeqTracker {
   [[nodiscard]] std::uint64_t resights() const { return resights_; }
 
  private:
+  // One probe per report at intake, bounded by the window.
+  // veridp-lint: allow(hot-path-node-map, per report, not per hop)
   std::unordered_set<std::uint32_t> seen_;
   std::deque<std::uint32_t> order_;  ///< eviction order for `seen_`
   std::size_t window_;

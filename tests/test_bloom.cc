@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "common/murmur3.hpp"
 #include "common/rng.hpp"
 
 namespace veridp {
@@ -174,6 +176,30 @@ TEST(BloomTag, WiderFiltersHaveFewerFalsePositives) {
   for (std::size_t i = 1; i < rates.size(); ++i)
     EXPECT_LT(rates[i], rates[i - 1] + 0.02) << "width " << widths[i];
   EXPECT_LT(rates.back(), rates.front());
+}
+
+// BF(hop) against §5's formula written out with `%`, at every width: the
+// power-of-two widths take a mask instead of the division, which must not
+// change a bit.
+TEST(BloomTag, HopBitsEqualModuloFormulaAtEveryWidth) {
+  Rng rng(99);
+  for (int bits = 1; bits <= 64; ++bits) {
+    for (int i = 0; i < 500; ++i) {
+      Hop h = random_hop(rng);
+      if (i == 0) h.out = kDropPort;
+      const struct {
+        std::uint32_t in, sw, out;
+      } wire{h.in, h.sw, h.out};
+      const std::uint32_t m = murmur3_32(wire);
+      std::uint64_t expect = 0;
+      for (std::uint32_t k = 0; k < BloomTag::kNumHashes; ++k) {
+        const std::uint32_t g = (m & 0xffff) + k * (m >> 16);
+        expect |= std::uint64_t{1} << (g % static_cast<std::uint32_t>(bits));
+      }
+      ASSERT_EQ(BloomTag::of_hop(h, bits).value(), expect)
+          << "width " << bits << " hop " << to_string(h);
+    }
+  }
 }
 
 TEST(BloomTag, OfPathEqualsIncrementalInserts) {

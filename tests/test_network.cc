@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "controller/routing.hpp"
+#include "dataplane/fault.hpp"
+#include "flow/walk.hpp"
+#include "testutil.hpp"
 #include "topo/generators.hpp"
+#include "veridp/workload.hpp"
 
 namespace veridp {
 namespace {
@@ -182,6 +189,68 @@ TEST(Network, PacketCountersIncrement) {
   net.inject(mk(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 1, 1)), PortKey{0, 3});
   EXPECT_EQ(net.at(0).packets_seen(), 1u);
   EXPECT_EQ(net.at(1).packets_seen(), 1u);
+}
+
+// The data-plane path of every flow equals the walk over the switches'
+// own (physical) configs, cut at the VeriDP TTL as a sampled packet is.
+void expect_paths_equal_physical_walk(
+    Network& net, const std::vector<workload::Flow>& flows) {
+  std::vector<SwitchConfig> physical;
+  for (SwitchId s = 0; s < net.num_switches(); ++s)
+    physical.push_back(net.at(s).config());
+  for (const auto& f : flows) {
+    const auto r = net.inject(f.header, f.entry);
+    ASSERT_EQ(r.path, logical_walk(net.topology(), physical, f.entry,
+                                   f.header, kMaxPathLength))
+        << f.header.str();
+  }
+}
+
+TEST(Network, PathsEqualPhysicalWalkOnFatTreeWithFaults) {
+  const Topology topo = fat_tree(4);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Network net(topo);
+  c.deploy(net);
+  const auto flows = workload::ping_all(topo);
+  expect_paths_equal_physical_walk(net, flows);
+
+  FaultInjector inject(net);
+  Rng rng(5);
+  for (SwitchId s = 0; s < net.num_switches(); s += 3) {
+    const auto& rules = net.at(s).config().table.rules();
+    if (rules.empty()) continue;
+    const RuleId victim = rules[rng.index(rules.size())].id;
+    switch (s % 4) {
+      case 0:
+        inject.drop_rule(s, victim);
+        break;
+      case 1:
+        inject.rewrite_rule_output(
+            s, victim,
+            static_cast<PortId>(rng.uniform(1, net.at(s).num_ports())));
+        break;
+      case 2:
+        inject.replace_with_drop(s, victim);
+        break;
+      default:
+        inject.ignore_priority(s);
+        break;
+    }
+  }
+  ASSERT_GE(inject.history().size(), 4u);
+  expect_paths_equal_physical_walk(net, flows);
+}
+
+TEST(Network, PathsEqualPhysicalWalkThroughAMiddlebox) {
+  const Topology topo = toy_figure5();
+  Controller c(topo);
+  testutil::install_figure5(c);
+  Network net(topo);
+  c.deploy(net);
+  // Port 22 takes the hairpin through S2's middlebox port.
+  for (const std::uint16_t dport : {std::uint16_t{80}, std::uint16_t{22}})
+    expect_paths_equal_physical_walk(net, workload::ping_all(topo, dport));
 }
 
 }  // namespace

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <set>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace veridp {
 namespace {
 
@@ -54,6 +62,82 @@ TEST(FlowSampler, PerFlowIntervalOverride) {
   EXPECT_TRUE(s.sample(flow(1), 1.5));   // its own 1.0 interval
   EXPECT_TRUE(s.sample(flow(2), 0.0));
   EXPECT_FALSE(s.sample(flow(2), 1.5));  // default 100 interval
+}
+
+TEST(FlowSampler, ClearForgetsFlowsButKeepsPerFlowIntervals) {
+  FlowSampler s(100.0);
+  s.set_interval(flow(1), 1.0);
+  EXPECT_TRUE(s.sample(flow(1), 0.0));
+  EXPECT_TRUE(s.sample(flow(2), 0.0));
+  EXPECT_FALSE(s.sample(flow(2), 1.0));
+  s.clear();
+  EXPECT_EQ(s.active_flows(), 0u);
+  EXPECT_TRUE(s.sample(flow(2), 1.0));   // forgotten: sampled afresh
+  EXPECT_TRUE(s.sample(flow(1), 0.5));   // forgotten t^f
+  EXPECT_TRUE(s.sample(flow(1), 1.75));  // still its own 1.0 interval
+  EXPECT_EQ(s.active_flows(), 2u);
+}
+
+// The flow table against a std::map model of the paper's rule over
+// 12,000 flows (the table doubles eleven times), with per-flow intervals
+// and a change of the default interval half-way through.
+TEST(FlowSampler, MatchesOrderedMapModelAcrossGrowth) {
+  struct Model {
+    double default_interval = 2.0;
+    std::map<PacketHeader, double> intervals;
+    std::map<PacketHeader, double> last;
+    bool sample(const PacketHeader& f, double t) {
+      const auto it = intervals.find(f);
+      const double interval =
+          it == intervals.end() ? default_interval : it->second;
+      auto [l, inserted] =
+          last.try_emplace(f, -std::numeric_limits<double>::infinity());
+      const bool due = interval == 0.0 || t - l->second > interval;
+      if (due) l->second = t;
+      return due;
+    }
+  };
+  // 400 address pairs with 30 flows each that differ only in protocol
+  // and ports, so probe chains meet flows equal in all but one field.
+  constexpr int kFlows = 12000;
+  Rng rng(2024);
+  std::vector<PacketHeader> flows;
+  PacketHeader h;
+  for (int i = 0; i < kFlows; ++i) {
+    if (i % 30 == 0) {
+      h.src_ip = Ipv4{static_cast<std::uint32_t>(rng.uniform(0, 0xffffffffu))};
+      h.dst_ip = Ipv4{static_cast<std::uint32_t>(rng.uniform(0, 0xffffffffu))};
+    }
+    h.proto = i % 3 == 0 ? kProtoUdp : i % 3 == 1 ? kProtoTcp : kProtoIcmp;
+    h.src_port = static_cast<std::uint16_t>(i / 3 % 5);
+    h.dst_port = static_cast<std::uint16_t>(i / 15 % 2);
+    flows.push_back(h);
+  }
+
+  FlowSampler s(2.0);
+  Model m;
+  for (std::size_t i = 0; i < flows.size(); i += 5) {
+    const double interval = (i % 2 == 0) ? 0.0 : 0.5;
+    s.set_interval(flows[i], interval);
+    m.intervals[flows[i]] = interval;
+  }
+  double t = 0.0;
+  for (int step = 0; step < 60000; ++step) {
+    if (step == 30000) {
+      s.set_default_interval(0.75);
+      m.default_interval = 0.75;
+    }
+    t += 0.001 * static_cast<double>(rng.index(10));
+    // Early steps bring in new flows; later ones revisit old ones.
+    const std::size_t bound = std::min<std::size_t>(
+        flows.size(), 200 + static_cast<std::size_t>(step) / 2);
+    const PacketHeader& f = flows[rng.index(bound)];
+    ASSERT_EQ(s.sample(f, t), m.sample(f, t)) << "step " << step;
+    ASSERT_EQ(s.active_flows(), m.last.size()) << "step " << step;
+  }
+  EXPECT_EQ(std::set<PacketHeader>(flows.begin(), flows.end()).size(),
+            flows.size());
+  EXPECT_GT(m.last.size(), 10000u);
 }
 
 TEST(Sampling, IntervalForLatencyRespectsBound) {

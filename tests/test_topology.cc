@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "topo/generators.hpp"
 
@@ -47,6 +51,89 @@ TEST(Topology, MiddleboxSelfLink) {
   EXPECT_EQ(t.peer(PortKey{a, 3}), (PortKey{a, 3}));
   EXPECT_FALSE(t.is_edge_port(PortKey{a, 3}));
 }
+
+TEST(Topology, InvalidKeysHaveNoPeerAndAreNotEdgePorts) {
+  Topology t;
+  const SwitchId a = t.add_switch("a", 3);
+  const SwitchId b = t.add_switch("b", 2);
+  t.add_link(PortKey{a, 1}, PortKey{b, 1});
+  t.add_middlebox(PortKey{b, 2});
+  for (const PortKey bad : {PortKey{2, 1}, PortKey{kNoSwitch, 1},
+                            PortKey{a, 0}, PortKey{b, 0}, PortKey{a, 4},
+                            PortKey{b, 3}, PortKey{a, kDropPort}}) {
+    EXPECT_FALSE(t.peer(bad).has_value()) << to_string(bad);
+    EXPECT_FALSE(t.is_edge_port(bad)) << to_string(bad);
+  }
+  // The middlebox port is its own peer and not an edge port; a link end
+  // names the other end; an unwired port is an edge port.
+  EXPECT_EQ(t.peer(PortKey{b, 2}), (PortKey{b, 2}));
+  EXPECT_FALSE(t.is_edge_port(PortKey{b, 2}));
+  EXPECT_EQ(t.peer(PortKey{b, 1}), (PortKey{a, 1}));
+  EXPECT_TRUE(t.is_edge_port(PortKey{a, 3}));
+  // A middlebox port counts as one linked end: (2 + 1) / 2 links.
+  EXPECT_EQ(t.num_links(), 1u);
+  EXPECT_EQ(t.edge_ports(), (std::vector<PortKey>{{a, 2}, {a, 3}}));
+  const auto nb = t.neighbors(b);
+  ASSERT_EQ(nb.size(), 2u);
+  EXPECT_EQ(nb[0], (std::pair<PortId, PortKey>{1, PortKey{a, 1}}));
+  EXPECT_EQ(nb[1], (std::pair<PortId, PortKey>{2, PortKey{b, 2}}));
+}
+
+// The port table's derived views on the generated topologies: the counts
+// are pinned, and every view agrees with peer() port by port.
+struct PortTableCase {
+  const char* name;
+  Topology (*make)();
+  std::size_t links;
+  std::size_t edge_ports;
+  std::size_t neighbor_entries;
+};
+
+void PrintTo(const PortTableCase& c, std::ostream* os) { *os << c.name; }
+
+class PortTable : public ::testing::TestWithParam<PortTableCase> {};
+
+TEST_P(PortTable, DerivedViewsMatchPeer) {
+  const PortTableCase& c = GetParam();
+  const Topology t = c.make();
+  std::vector<PortKey> edges;
+  std::size_t linked_ends = 0;
+  std::size_t neighbor_entries = 0;
+  for (SwitchId s = 0; s < t.num_switches(); ++s) {
+    std::vector<std::pair<PortId, PortKey>> nb;
+    for (PortId x = 1; x <= t.num_ports(s); ++x) {
+      const PortKey p{s, x};
+      const auto q = t.peer(p);
+      EXPECT_EQ(t.is_edge_port(p), !q.has_value());
+      if (!q) {
+        edges.push_back(p);
+        continue;
+      }
+      ++linked_ends;
+      nb.emplace_back(x, *q);
+      // Links are symmetric; a middlebox port is its own peer.
+      EXPECT_EQ(t.peer(*q), p);
+    }
+    EXPECT_EQ(t.neighbors(s), nb);
+    neighbor_entries += nb.size();
+  }
+  EXPECT_EQ(t.edge_ports(), edges);
+  EXPECT_EQ(t.num_links(), linked_ends / 2);
+  EXPECT_EQ(t.num_links(), c.links);
+  EXPECT_EQ(edges.size(), c.edge_ports);
+  EXPECT_EQ(neighbor_entries, c.neighbor_entries);
+}
+
+Topology fat_tree4() { return fat_tree(4); }
+Topology default_stanford_like() { return stanford_like(); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Generated, PortTable,
+    ::testing::Values(
+        PortTableCase{"fat_tree4", fat_tree4, 32, 16, 64},
+        PortTableCase{"stanford_like", default_stanford_like, 49, 280, 98},
+        PortTableCase{"toy_figure5", toy_figure5, 3, 3, 7}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Topology, SubnetsAndLongestMatch) {
   Topology t;

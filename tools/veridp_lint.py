@@ -16,6 +16,15 @@ Rules encode lessons this codebase has already paid for (DESIGN.md §8):
       marker. Type-erased calls allocate and defeat inlining on the
       per-report verification path; use templates (cf. eval_with).
 
+  hot-path-node-map
+      No `std::unordered_map` / `unordered_set` / `map` / `set` (or their
+      multi- variants) in files carrying a `// veridp-lint: hot-path`
+      marker. Node-based containers cost a hash, a bucket division and a
+      pointer chase per probe; on the per-hop and per-report paths use a
+      flat array or an open-addressing table (cf. Topology::peer,
+      FlowSampler). An off-path map (set-up, rebuild, cold memo) stays
+      with `allow(hot-path-node-map, <why it is off the path>)`.
+
   bare-bddref-member
       No struct/class storing a BddRef member without arena provenance
       (a BddManager* / shared_ptr<BddManager> / HeaderSet / HeaderSpace
@@ -48,8 +57,9 @@ Suppression: `veridp-lint: allow(<rule>)` inside a comment on the
 offending line, or on a line above it within the same statement
 (coverage extends until the next line that ends in `;` or `}`). The
 form `allow(<rule>, <justification>)` attaches a justification; the
-relaxed-atomic rule rejects allows whose justification is missing or
-empty, every other rule treats it as documentation.
+relaxed-atomic and hot-path-node-map rules reject allows whose
+justification is missing or empty, every other rule treats it as
+documentation.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 `--expect-violation RULE` inverts the contract for the lint's own test
@@ -62,11 +72,11 @@ import os
 import re
 import sys
 
-RULES = ("raw-lock", "hot-path-std-function", "bare-bddref-member",
-         "xor-hash-key", "relaxed-atomic")
+RULES = ("raw-lock", "hot-path-std-function", "hot-path-node-map",
+         "bare-bddref-member", "xor-hash-key", "relaxed-atomic")
 
 # Rules whose allow() must carry a non-empty justification argument.
-JUSTIFIED_RULES = frozenset({"relaxed-atomic"})
+JUSTIFIED_RULES = frozenset({"relaxed-atomic", "hot-path-node-map"})
 
 ALLOW_RE = re.compile(r"veridp-lint:\s*allow\(([a-z-]+)(?:\s*,\s*([^)]*))?\)")
 HOT_PATH_RE = re.compile(r"//\s*veridp-lint:\s*hot-path\b")
@@ -87,6 +97,8 @@ FILE_EXEMPT = {
 RAW_LOCK_RE = re.compile(r"(?:\.|->)\s*(?:try_lock|lock|unlock)\s*\(")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\b")
+NODE_MAP_RE = re.compile(
+    r"\bstd\s*::\s*(?:unordered_)?(?:multi)?(?:map|set)\b")
 XOR_SHIFT_RE = re.compile(r"<<\s*(\d+)")
 MEMBER_BDDREF_RE = re.compile(
     r"^\s*(?:mutable\s+|static\s+|constexpr\s+|const\s+)*"
@@ -234,7 +246,7 @@ def lint_file(path, rel, findings):
             if rule not in JUSTIFIED_RULES or scope[rule]:
                 return
             msg += ("; the allow is missing its justification — write "
-                    f"allow({rule}, <why relaxed is enough here>)")
+                    f"allow({rule}, <justification>)")
         findings.append((rel, ln, rule, msg))
 
     scanner = StructScanner()
@@ -249,6 +261,11 @@ def lint_file(path, rel, findings):
             report("hot-path-std-function", ln,
                    "std::function in a hot-path file; use a template "
                    "parameter (cf. BddManager::eval_with)")
+        if hot_path and NODE_MAP_RE.search(code):
+            report("hot-path-node-map", ln,
+                   "node-based std container in a hot-path file; use a "
+                   "flat array or open addressing, or justify an off-path "
+                   "use with allow(hot-path-node-map, <why>)")
         if not exempt("relaxed-atomic") and RELAXED_RE.search(code):
             report("relaxed-atomic", ln,
                    "memory_order_relaxed outside the profiler/lockdep "
