@@ -12,6 +12,11 @@
 // table lookup and copies the payload (per-byte cost); the sampling and
 // tagging modules run the exact FlowSampler / Algorithm-1 code. We
 // report the same table: absolute per-packet delay and overhead ratios.
+// The sampling module cycles through a pool of distinct flows as large as
+// the end-to-end benchmark's, so its table holds every one of them. The
+// lookup rows time the flow-table lookup alone on the benchmark
+// workloads' own tables: Stanford-like (dst prefixes of many lengths,
+// the interval index) and FT(8) (one length, one hash probe).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -28,6 +33,8 @@ using namespace veridp::bench;
 namespace {
 
 constexpr std::array<std::uint32_t, 5> kSizes = {128, 256, 512, 1024, 1500};
+constexpr std::size_t kHeaderBytes = 24;  // IPv4 + TCP ports, as parsed
+constexpr std::size_t kFlowPool = 20000;  // stanford_steady's flow pool
 
 // A realistic per-switch forwarding state: a few hundred prefix rules.
 FlowTable& forwarding_table() {
@@ -55,7 +62,7 @@ std::vector<std::uint8_t> wire_packet(std::uint32_t size, Rng& rng) {
   return buf;
 }
 
-PacketHeader parse(const std::vector<std::uint8_t>& buf) {
+PacketHeader parse(const std::uint8_t* buf) {
   PacketHeader h;
   h.src_ip.value = (std::uint32_t{buf[12]} << 24) | (std::uint32_t{buf[13]} << 16) |
                    (std::uint32_t{buf[14]} << 8) | buf[15];
@@ -75,7 +82,7 @@ void BM_NativePipeline(benchmark::State& state) {
   std::vector<std::uint8_t> out(size);
   const FlowTable& table = forwarding_table();
   for (auto _ : state) {
-    const PacketHeader h = parse(in);
+    const PacketHeader h = parse(in.data());
     const PortId port = table.lookup_port(h, 1);
     benchmark::DoNotOptimize(port);
     // Store-and-forward byte path: RX CRC, integrity check, TX CRC —
@@ -93,16 +100,45 @@ void BM_NativePipeline(benchmark::State& state) {
 }
 
 // VeriDP sampling module: per-flow hash-table check (entry switches only).
+// Consecutive packets belong to consecutive flows of the pool, so every
+// check probes a table of kFlowPool flows.
 void BM_SamplingModule(benchmark::State& state) {
   const auto size = static_cast<std::uint32_t>(state.range(0));
   Rng rng(size);
-  const auto in = wire_packet(size, rng);
+  std::vector<std::uint8_t> headers;  // kFlowPool wire headers, back to back
+  headers.reserve(kFlowPool * kHeaderBytes);
+  for (std::size_t f = 0; f < kFlowPool; ++f) {
+    const auto buf = wire_packet(kHeaderBytes, rng);
+    headers.insert(headers.end(), buf.begin(), buf.end());
+  }
   FlowSampler sampler(/*interval=*/1.0);
   double t = 0.0;
+  std::size_t f = 0;
   for (auto _ : state) {
-    const PacketHeader h = parse(in);
+    const PacketHeader h = parse(&headers[f * kHeaderBytes]);
     benchmark::DoNotOptimize(sampler.sample(h, t));
     t += 1e-6;
+    f = f + 1 == kFlowPool ? 0 : f + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["flows"] = static_cast<double>(sampler.active_flows());
+}
+
+// Flow-table lookup alone, one per hop: each random flow's header is
+// looked up at every switch in turn, on the tables `setup` installs.
+void BM_Lookup(benchmark::State& state, const Setup& setup) {
+  Rng rng(4005);
+  const auto flows = workload::random_flows(setup.topo, rng, kFlowPool);
+  const auto& configs = setup.controller.logical_configs();
+  std::size_t f = 0;
+  std::size_t sw = 0;
+  for (auto _ : state) {
+    const FlowRule* r = configs[sw].table.lookup(flows[f].header, 1);
+    benchmark::DoNotOptimize(r);
+    if (++sw == configs.size()) {
+      sw = 0;
+      f = f + 1 == flows.size() ? 0 : f + 1;
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -113,7 +149,7 @@ void BM_TaggingModule(benchmark::State& state) {
   Rng rng(size);
   const auto in = wire_packet(size, rng);
   Packet p;
-  p.header = parse(in);
+  p.header = parse(in.data());
   p.size_bytes = size;
   p.marker = true;
   p.ttl = kMaxPathLength;
@@ -130,6 +166,18 @@ void BM_TaggingModule(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// Each set-up is built on first use, so a filter that skips its row skips
+// building it.
+void BM_LookupStanford(benchmark::State& state) {
+  static const Setup setup = make_stanford();
+  BM_Lookup(state, setup);
+}
+
+void BM_LookupFatTree8(benchmark::State& state) {
+  static const Setup setup = make_fat_tree(8);
+  BM_Lookup(state, setup);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -143,6 +191,10 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark("sampling", BM_SamplingModule)->Arg(size)->Unit(benchmark::kNanosecond);
     benchmark::RegisterBenchmark("tagging", BM_TaggingModule)->Arg(size)->Unit(benchmark::kNanosecond);
   }
+  benchmark::RegisterBenchmark("lookup/stanford", BM_LookupStanford)
+      ->Unit(benchmark::kNanosecond);
+  benchmark::RegisterBenchmark("lookup/ft8", BM_LookupFatTree8)
+      ->Unit(benchmark::kNanosecond);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   std::printf("\noverhead %% = module time / native time at the same packet "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 namespace veridp {
 
@@ -39,6 +40,52 @@ std::size_t slot_count(std::size_t n) {
   std::size_t cap = 2;
   while (cap < 2 * n) cap *= 2;
   return cap;
+}
+
+/// A dst-only rule for the interval index: (len << 32 | addr, rank).
+using DstRule = std::pair<std::uint64_t, std::uint32_t>;
+
+/// Fills the interval index from dst-only rules.
+void build_intervals(std::vector<DstRule>& rules,
+                     std::vector<std::uint32_t>& starts,
+                     std::vector<std::uint32_t>& best) {
+  starts.clear();
+  best.clear();
+  if (rules.empty()) return;  // no index: lookups skip the search
+  // By length, then address, then rank: of equal prefixes only the first
+  // can win, so the rest are dropped.
+  std::sort(rules.begin(), rules.end());
+  rules.erase(std::unique(rules.begin(), rules.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              rules.end());
+  auto last = [](std::uint64_t key) {
+    return static_cast<std::uint32_t>(key) |
+           ~Prefix::mask(static_cast<std::uint8_t>(key >> 32));
+  };
+  starts.assign(1, 0);
+  for (const auto& [key, rank] : rules) {
+    starts.push_back(static_cast<std::uint32_t>(key));
+    starts.push_back(last(key) + 1);  // wraps to 0 past the top address
+  }
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+
+  // Prefixes of one length are disjoint and come in address order, so
+  // one forward sweep over the intervals per length covers them all.
+  best.assign(starts.size(), kEmpty);
+  std::size_t i = 0;
+  std::uint64_t len = 64;
+  for (const auto& [key, rank] : rules) {
+    if (key >> 32 != len) {
+      len = key >> 32;
+      i = 0;
+    }
+    while (starts[i] < static_cast<std::uint32_t>(key)) ++i;  // a start
+    for (; i < starts.size() && starts[i] <= last(key); ++i)
+      best[i] = std::min(best[i], rank);
+  }
 }
 
 }  // namespace
@@ -119,13 +166,30 @@ void FlowTable::rebuild() const {
     }
   }
 
-  // Group by shape. Ranks ascend, so tuples come out in ascending
-  // min_rank and a tuple's min_rank is the rank of its first rule.
+  // Dst-only rules of two or more prefix lengths go to the interval
+  // index; with one length they stay a tuple (one hash probe is then an
+  // exact longest-prefix match, cheaper than a search).
+  std::uint64_t lens = 0;
+  for (const Entry& e : entries_) {
+    const Match& m = rules_[e.rule].match;
+    if (m.is_dst_prefix_only()) lens |= std::uint64_t{1} << m.dst.len;
+  }
+  const bool intervals = (lens & (lens - 1)) != 0;
+
+  // Group the rest by shape. Ranks ascend, so tuples come out in
+  // ascending min_rank and a tuple's min_rank is the rank of its first
+  // rule.
   tuples_.clear();
+  std::vector<DstRule> indexed;
   std::vector<std::uint32_t> tuple_of(entries_.size());
   std::vector<std::size_t> counts;
   for (std::uint32_t k = 0; k < entries_.size(); ++k) {
     const Match& m = rules_[entries_[k].rule].match;
+    if (intervals && m.is_dst_prefix_only()) {
+      indexed.emplace_back(std::uint64_t{m.dst.len} << 32 | m.dst.addr, k);
+      tuple_of[k] = kEmpty;
+      continue;
+    }
     const Entry mask{
         ip_word(Prefix::mask(m.src.len), Prefix::mask(m.dst.len)),
         l4_word(m.proto ? 0xFF : 0, m.src_port ? 0xFFFF : 0,
@@ -145,6 +209,7 @@ void FlowTable::rebuild() const {
 
   // Fill. The first rule to claim a key has the best rank for it.
   for (std::uint32_t k = 0; k < entries_.size(); ++k) {
+    if (tuple_of[k] == kEmpty) continue;  // in the interval index
     const Entry& e = entries_[k];
     std::vector<std::uint32_t>& slots = tuples_[tuple_of[k]].slots;
     const std::size_t mask = slots.size() - 1;
@@ -153,15 +218,26 @@ void FlowTable::rebuild() const {
       i = (i + 1) & mask;
     if (slots[i] == kEmpty) slots[i] = k;
   }
+  build_intervals(indexed, starts_, best_);
   stale_ = false;
 }
 
 const FlowRule* FlowTable::lookup(const PacketHeader& h,
                                   PortId in_port) const {
   if (stale_) rebuild();
+  std::uint32_t best = kEmpty;
+  if (!starts_.empty()) {
+    // The interval holding dst is the last start <= dst (starts_[0] == 0).
+    const std::uint32_t* s = starts_.data();
+    for (std::size_t n = starts_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      s = s[half] <= h.dst_ip.value ? s + half : s;  // a cmov, not a branch
+      n -= half;
+    }
+    best = best_[static_cast<std::size_t>(s - starts_.data())];
+  }
   const std::uint64_t ips = ip_word(h.src_ip.value, h.dst_ip.value);
   const std::uint64_t l4 = l4_word(h.proto, h.src_port, h.dst_port);
-  std::uint32_t best = kEmpty;
   for (const Tuple& t : tuples_) {
     if (t.min_rank >= best) break;  // no later tuple can beat the hit
     const Entry key{ips & t.mask.ips, l4 & t.mask.l4,

@@ -7,16 +7,26 @@
 // behaviour the paper cites (§2.2, "premature switch implementation") —
 // which the fault injector can enable.
 //
-// Lookup is tuple space search (Srinivasan et al., SIGCOMM '99), the
-// classifier Open vSwitch uses: rules are grouped by match shape, each
-// group is an exact-match hash table, and a lookup probes the groups in
-// rank order until no later group can hold a better rule. The index is
-// rebuilt lazily, in O(n), on the first lookup after a mutation.
+// Lookup has two parts, and each rule lives in exactly one of them.
+//  - A dst-prefix interval index. Rules that match on a dst prefix alone
+//    split the address space into elementary intervals, each with one
+//    best rule (Delta-net's atoms). When such rules span two or more
+//    prefix lengths, they are held as the sorted interval starts and the
+//    best rank per interval, and a lookup finds its interval with one
+//    branchless binary search.
+//  - Tuple space search (Srinivasan et al., SIGCOMM '99), the classifier
+//    Open vSwitch uses, for every other rule: rules are grouped by match
+//    shape, each group is an exact-match hash table, and a lookup probes
+//    the groups in rank order until no later group can hold a better
+//    rule than the best found so far. Dst-prefix rules of one length stay
+//    a tuple: there one hash probe is already a longest-prefix match.
+// Both parts are rebuilt lazily, in O(n log n), on the first lookup after
+// a mutation (or the first lookup of a new table).
 //
 // Thread safety: single-threaded by contract. `lookup` is const but may
-// rebuild the mutable index, so one table must not be looked up from two
-// threads at once. Every caller (the data plane, `logical_walk`, the
-// Localizer) runs on the control thread.
+// rebuild both mutable parts of the index, so one table must not be
+// looked up from two threads at once. Every caller (the data plane,
+// `logical_walk`, the Localizer) runs on the control thread.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +122,12 @@ class FlowTable {
   // The lookup index over rules_; rebuilt when stale_.
   mutable std::vector<Entry> entries_;  // by rank
   mutable std::vector<Tuple> tuples_;   // ascending min_rank
-  mutable bool stale_ = false;
+  // Interval index, empty if no rule is indexed. Else starts_[0] == 0,
+  // ascending, and best_[i] is the best rank of an indexed rule covering
+  // [starts_[i], starts_[i + 1]), or kEmpty.
+  mutable std::vector<std::uint32_t> starts_;
+  mutable std::vector<std::uint32_t> best_;
+  mutable bool stale_ = true;
 };
 
 }  // namespace veridp

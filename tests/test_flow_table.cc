@@ -1,13 +1,18 @@
 // FlowTable tests: priority semantics, tie-breaking, mutation, and the
-// broken no-priority mode (§2.2's premature-switch behaviour), plus a
-// differential test of the tuple-space classifier against a first-match
-// scan over the same rules.
+// broken no-priority mode (§2.2's premature-switch behaviour), plus
+// differential tests of the classifier (the dst-prefix interval index and
+// the tuple space) against a first-match scan over the same rules.
 #include "flow/flow_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+
+#include "common/rng.hpp"
+#include "controller/routing.hpp"
+#include "topo/generators.hpp"
+#include "veridp/workload.hpp"
 
 namespace veridp {
 namespace {
@@ -357,6 +362,163 @@ TEST(FlowTableClassifier, DuplicateIdsResolveThroughFind) {
   // find(7) is the priority-9 rule; the priority-5 rule is unreachable.
   EXPECT_EQ(t.lookup_port(h), 2u);
   EXPECT_EQ(t.lookup_port(to(Ipv4::of(10, 9, 9, 9))), kDropPort);
+}
+
+// ---- Dst-prefix interval index vs. the first-match scan -----------------
+
+// Dst-only tables of nested prefixes over many lengths, so the interval
+// index answers alone. Every boundary is probed: each prefix's first and
+// last address, one past it, and both ends of the address space.
+TEST(FlowTableIntervals, DstOnlyBoundarySweepMatchesFirstMatchScan) {
+  static constexpr std::uint8_t kLens[] = {0, 1, 8, 15, 16, 23, 24, 31, 32};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    TableFuzzer fz(seed);
+    Shadowed s;
+    // Prefixes grow from a few anchors, so lengths nest and share bounds.
+    std::uint32_t anchors[3];
+    for (std::uint32_t& a : anchors)
+      a = static_cast<std::uint32_t>(fz.below(std::uint64_t{1} << 32));
+    const std::uint64_t n = 1 + fz.below(40);
+    RuleId next = 1;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint32_t a =
+          anchors[fz.below(3)] ^
+          (fz.chance(3) ? static_cast<std::uint32_t>(fz.below(1024)) : 0);
+      const Prefix p{a, kLens[fz.below(std::size(kLens))]};
+      // ~1 in 8 ids repeats an earlier one (duplicate RuleIds).
+      const RuleId id = next > 1 && fz.chance(8) ? 1 + fz.below(next - 1)
+                                                 : next++;
+      s.add(FlowRule{id, p.len, Match::dst_prefix(p),
+                     Action::output(static_cast<PortId>(1 + fz.below(6)))});
+    }
+    // Re-prioritize some rules, so rank order is not length order.
+    for (int k = 0; k < 6; ++k)
+      s.table.set_priority(fz.pick(s.order),
+                           static_cast<std::int32_t>(fz.below(40)) - 4);
+
+    std::vector<std::uint32_t> probes{0, ~std::uint32_t{0}};
+    for (const FlowRule& r : s.table.rules()) {
+      const Prefix& p = r.match.dst;
+      const std::uint32_t last = p.addr | ~Prefix::mask(p.len);
+      probes.insert(probes.end(), {p.addr, last, last + 1});  // may wrap
+    }
+    for (const bool ignored : {false, true}) {
+      s.table.ignore_priority(ignored);
+      for (const std::uint32_t a : probes) {
+        expect_same(s, to(Ipv4{a}), fz.in_port(), seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// A single-length table (one tuple, no interval index) and a mixed one
+// (dst-only rules of many lengths beside in_port, proto and port shapes,
+// their ranks interleaved) both answer as the first-match scan does.
+TEST(FlowTableIntervals, SingleLengthAndMixedTablesMatchFirstMatchScan) {
+  static constexpr std::uint8_t kLens[] = {0, 8, 16, 23, 24, 32};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    TableFuzzer fz(seed);
+    const bool mixed = seed % 2 == 0;
+    Shadowed s;
+    const std::uint64_t n = 1 + fz.below(40);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      FlowRule r = fz.random_rule(s);
+      const std::uint8_t len = mixed ? kLens[fz.below(std::size(kLens))] : 24;
+      const Prefix dst{r.match.dst.addr, len};
+      if (!mixed || fz.chance(2)) {
+        r.match = Match::dst_prefix(dst);
+      } else {
+        r.match.dst = dst;
+        if (!r.match.in_port && !r.match.dst_port)
+          r.match.in_port = static_cast<PortId>(1 + fz.below(3));
+      }
+      s.add(r);
+    }
+    for (const bool ignored : {false, true}) {
+      s.table.ignore_priority(ignored);
+      for (int p = 0; p < 200; ++p) {
+        expect_same(s, fz.probe(s), fz.in_port(), seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// A table never added to still builds its index on the first lookup.
+TEST(FlowTableIntervals, EmptyTablesMissBeforeAnyAdd) {
+  for (const std::uint32_t a : {0u, 0x0A000102u, ~0u}) {
+    const PacketHeader h = to(Ipv4{a});
+    const FlowTable fresh;
+    EXPECT_EQ(fresh.lookup(h), nullptr);
+    EXPECT_EQ(fresh.lookup(h, 3), nullptr);
+    FlowTable cleared;
+    cleared.clear();
+    EXPECT_EQ(cleared.lookup(h), nullptr);
+    FlowTable ignoring;
+    ignoring.ignore_priority(true);
+    EXPECT_EQ(ignoring.lookup(h), nullptr);
+  }
+  // And a cleared table indexes what it is given next.
+  FlowTable t;
+  t.clear();
+  (void)t.lookup(to(Ipv4::of(10, 0, 0, 1)));
+  t.add(rule(1, 8, Prefix{Ipv4::of(10, 0, 0, 0), 8}, 1));
+  t.add(rule(2, 24, Prefix{Ipv4::of(10, 0, 2, 0), 24}, 2));
+  EXPECT_EQ(t.lookup_port(to(Ipv4::of(10, 0, 2, 9))), 2u);
+  EXPECT_EQ(t.lookup_port(to(Ipv4::of(10, 0, 3, 0))), 1u);
+  EXPECT_EQ(t.lookup_port(to(Ipv4::of(11, 0, 0, 0))), kDropPort);
+}
+
+// The benchmark workloads' own tables: shortest-path routing plus
+// more-specific rules on the Stanford- and Internet2-like topologies
+// (dst-only, many lengths) and plain routing on a fat tree (one length).
+// Each switch's table, and a copy inserted in reverse order looked up in
+// both priority modes, answers random flows as the first-match scan does.
+TEST(FlowTableIntervals, WorkloadTablesMatchFirstMatchScan) {
+  struct Case {
+    const char* name;
+    Topology topo;
+    std::size_t extra_rules;
+  };
+  Case cases[] = {{"stanford_like", stanford_like(14, 5), 1500},
+                  {"internet2_like", internet2_like(10), 1500},
+                  {"fat_tree(4)", fat_tree(4), 0}};
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Controller controller(c.topo);
+    routing::install_shortest_paths(controller);
+    Rng rng(2024);
+    workload::add_specific_rules(controller, rng, c.extra_rules);
+    std::vector<workload::Flow> flows =
+        workload::random_flows(c.topo, rng, 300);
+    for (int i = 0; i < 100; ++i)  // and some addresses outside any subnet
+      flows.push_back({{}, to(Ipv4{static_cast<std::uint32_t>(
+                               rng.uniform(0, ~std::uint32_t{0}))})});
+    for (SwitchId sw = 0; sw < c.topo.num_switches(); ++sw) {
+      const FlowTable& table = controller.logical(sw).table;
+      Shadowed reversed;
+      for (auto it = table.rules().rbegin(); it != table.rules().rend(); ++it)
+        reversed.add(*it);
+      for (const workload::Flow& f : flows) {
+        const auto in_port = static_cast<PortId>(
+            rng.uniform(0, c.topo.num_ports(sw)));
+        const FlowRule* want = nullptr;
+        for (const FlowRule& r : table.rules())
+          if (r.match.applies_at(in_port) && r.match.matches(f.header)) {
+            want = &r;
+            break;
+          }
+        ASSERT_EQ(table.lookup(f.header, in_port), want)
+            << "switch " << sw << " " << f.header.str();
+        for (const bool ignored : {false, true}) {
+          reversed.table.ignore_priority(ignored);
+          expect_same(reversed, f.header, in_port, sw);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
