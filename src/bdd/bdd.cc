@@ -507,23 +507,4 @@ int BddManager::top_var(BddRef a) const {
   return nodes_[static_cast<std::size_t>(check_ref(a, "top_var"))].var;
 }
 
-std::string BddManager::dump(BddRef a) const {
-  if (a == kBddFalse) return "FALSE";
-  if (a == kBddTrue) return "TRUE";
-  std::string out;
-  std::unordered_set<BddRef> seen;
-  std::vector<BddRef> stack{check_ref(a, "dump")};
-  while (!stack.empty()) {
-    const BddRef r = stack.back();
-    stack.pop_back();
-    if (r <= kBddTrue || !seen.insert(r).second) continue;
-    const Node& n = nodes_[static_cast<std::size_t>(r)];
-    out += "n" + std::to_string(r) + " = (x" + std::to_string(n.var) + " ? n" +
-           std::to_string(n.high) + " : n" + std::to_string(n.low) + ")\n";
-    stack.push_back(n.low);
-    stack.push_back(n.high);
-  }
-  return out;
-}
-
 }  // namespace veridp

@@ -73,7 +73,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -254,9 +253,6 @@ class BddManager {
     return tag_ref(
         nodes_[static_cast<std::size_t>(check_ref(a, "high_of"))].high);
   }
-
-  /// Human-readable dump (for debugging small BDDs).
-  std::string dump(BddRef a) const;
 
   // -- Diagnostics / test hooks ---------------------------------------------
   /// Current unique-table slot count.

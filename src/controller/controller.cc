@@ -29,10 +29,14 @@ std::optional<FlowRule> Controller::delete_rule(SwitchId sw, RuleId id) {
 
 void Controller::set_in_acl(SwitchId sw, PortId port, Acl acl) {
   configs_[static_cast<std::size_t>(sw)].in_acls[port] = std::move(acl);
+  ++epoch_;
+  publish({RuleEvent::Kind::kAcl, sw, FlowRule{}, port, false});
 }
 
 void Controller::set_out_acl(SwitchId sw, PortId port, Acl acl) {
   configs_[static_cast<std::size_t>(sw)].out_acls[port] = std::move(acl);
+  ++epoch_;
+  publish({RuleEvent::Kind::kAcl, sw, FlowRule{}, port, true});
 }
 
 std::size_t Controller::deploy(Network& net, Channel* channel) const {

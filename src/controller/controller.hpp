@@ -20,11 +20,15 @@
 
 namespace veridp {
 
-/// A southbound rule operation, as observed by the VeriDP server.
+/// A southbound operation on R, as observed by the VeriDP server: a rule
+/// added or deleted, or a port ACL installed or replaced (kAcl, which
+/// carries no rule; the ACL itself is in the controller's logical config).
 struct RuleEvent {
-  enum class Kind { kAdd, kDelete } kind = Kind::kAdd;
+  enum class Kind { kAdd, kDelete, kAcl } kind = Kind::kAdd;
   SwitchId sw = kNoSwitch;
   FlowRule rule;
+  PortId port = 0;       ///< kAcl: the port whose ACL changed
+  bool outbound = false; ///< kAcl: the out-bound (else in-bound) ACL
 };
 
 /// The southbound install channel. The default implementation is
@@ -81,7 +85,8 @@ class Controller {
   /// rule, or nullopt if unknown.
   std::optional<FlowRule> delete_rule(SwitchId sw, RuleId id);
 
-  /// Installs / replaces a port ACL in the logical config.
+  /// Installs / replaces a port ACL in the logical config; publishes a
+  /// kAcl RuleEvent.
   void set_in_acl(SwitchId sw, PortId port, Acl acl);
   void set_out_acl(SwitchId sw, PortId port, Acl acl);
 
@@ -97,7 +102,7 @@ class Controller {
                   [handle](const auto& l) { return l.first == handle; });
   }
 
-  /// The config epoch: bumped on every rule event, before it is
+  /// The config epoch: bumped on every rule and ACL event, before it is
   /// published, so subscribers observe the post-event epoch. Switches
   /// learn it via Network::set_config_epoch and stamp it into sampled
   /// packets; the server uses it to pick the right path-table snapshot.

@@ -1,9 +1,6 @@
 #include "controller/routing.hpp"
 
-#include <algorithm>
 #include <deque>
-
-#include "flow/walk.hpp"
 
 namespace veridp {
 namespace routing {
@@ -52,103 +49,6 @@ std::vector<RuleId> install_shortest_paths(Controller& c) {
   return ids;
 }
 
-namespace {
-
-// All equal-cost next-hop ports of every switch toward `dst_switch`.
-struct EcmpTable {
-  std::vector<int> dist;
-  std::vector<std::vector<PortId>> candidates;
-};
-
-EcmpTable ecmp_table(const Topology& topo, SwitchId dst_switch) {
-  EcmpTable t;
-  t.dist.assign(topo.num_switches(), -1);
-  t.candidates.assign(topo.num_switches(), {});
-  t.dist[dst_switch] = 0;
-  std::deque<SwitchId> queue{dst_switch};
-  while (!queue.empty()) {
-    const SwitchId cur = queue.front();
-    queue.pop_front();
-    for (const auto& [port, remote] : topo.neighbors(cur)) {
-      (void)port;
-      if (remote.sw == cur || t.dist[remote.sw] != -1) continue;
-      t.dist[remote.sw] = t.dist[cur] + 1;
-      queue.push_back(remote.sw);
-    }
-  }
-  for (SwitchId s = 0; s < topo.num_switches(); ++s) {
-    if (t.dist[s] <= 0) continue;
-    for (const auto& [port, remote] : topo.neighbors(s))
-      if (remote.sw != s && t.dist[remote.sw] == t.dist[s] - 1)
-        t.candidates[s].push_back(port);
-  }
-  return t;
-}
-
-}  // namespace
-
-std::vector<RuleId> install_ecmp_shortest_paths(Controller& c,
-                                                std::uint64_t seed) {
-  const Topology& topo = c.topology();
-  std::vector<RuleId> ids;
-  for (const auto& [edge, prefix] : topo.subnets()) {
-    const EcmpTable t = ecmp_table(topo, edge.sw);
-    const Match match = Match::dst_prefix(prefix);
-    const std::int32_t prio = prefix.len;
-    ids.push_back(c.add_rule(edge.sw, prio, match, Action::output(edge.port)));
-    for (SwitchId s = 0; s < topo.num_switches(); ++s) {
-      if (s == edge.sw || t.candidates[s].empty()) continue;
-      // Deterministic hash pick among equal-cost candidates.
-      std::uint64_t h = seed ^ (std::uint64_t{s} * 0x9e3779b97f4a7c15ULL) ^
-                        ((std::uint64_t{prefix.addr} << 8 | prefix.len) *
-                         0xbf58476d1ce4e5b9ULL);
-      h ^= h >> 31;
-      const PortId out =
-          t.candidates[s][h % t.candidates[s].size()];
-      ids.push_back(c.add_rule(s, prio, match, Action::output(out)));
-    }
-  }
-  return ids;
-}
-
-std::vector<RuleId> install_used_shortest_paths(Controller& c) {
-  const Topology& topo = c.topology();
-  // Switches that originate traffic: those with at least one edge port.
-  std::vector<SwitchId> sources;
-  for (SwitchId s = 0; s < topo.num_switches(); ++s)
-    for (PortId x = 1; x <= topo.num_ports(s); ++x)
-      if (topo.is_edge_port(PortKey{s, x})) {
-        sources.push_back(s);
-        break;
-      }
-
-  std::vector<RuleId> ids;
-  for (const auto& [edge, prefix] : topo.subnets()) {
-    const auto next = bfs_next_hops(topo, edge.sw);
-    // Mark switches on the tree path from every source to the subnet.
-    std::vector<char> used(topo.num_switches(), 0);
-    used[edge.sw] = 1;
-    for (SwitchId src : sources) {
-      SwitchId cur = src;
-      while (cur != edge.sw) {
-        auto it = next.find(cur);
-        if (it == next.end()) break;  // unreachable source
-        if (used[cur]) break;         // joined an already-marked path
-        used[cur] = 1;
-        cur = topo.peer(PortKey{cur, it->second})->sw;
-      }
-    }
-    const Match match = Match::dst_prefix(prefix);
-    const std::int32_t prio = prefix.len;
-    ids.push_back(c.add_rule(edge.sw, prio, match, Action::output(edge.port)));
-    for (SwitchId s = 0; s < topo.num_switches(); ++s) {
-      if (s == edge.sw || !used[s]) continue;
-      ids.push_back(c.add_rule(s, prio, match, Action::output(next.at(s))));
-    }
-  }
-  return ids;
-}
-
 std::vector<RuleId> install_per_flow_paths(Controller& c) {
   const Topology& topo = c.topology();
   std::vector<RuleId> ids;
@@ -178,11 +78,6 @@ std::vector<RuleId> install_per_flow_paths(Controller& c) {
     }
   }
   return ids;
-}
-
-std::vector<Hop> logical_path(const Controller& c, PortKey entry,
-                              const PacketHeader& h) {
-  return logical_walk(c.topology(), c.logical_configs(), entry, h);
 }
 
 }  // namespace routing

@@ -27,24 +27,6 @@ std::unordered_map<SwitchId, PortId> bfs_next_hops(const Topology& topo,
 /// every switch. Returns the ids of all installed rules.
 std::vector<RuleId> install_shortest_paths(Controller& c);
 
-/// ECMP-diversified variant: each switch picks its next hop toward a
-/// subnet among ALL equal-cost candidates by a hash of (switch, subnet),
-/// the way hashed multipath routing spreads destinations. Still loop-free
-/// (hop distance strictly decreases), but deviated packets bounced to a
-/// sibling switch usually continue over a different uplink instead of
-/// re-entering the faulty switch — matching the paper's Table-3 setting
-/// far better than a deterministic BFS tie-break.
-std::vector<RuleId> install_ecmp_shortest_paths(Controller& c,
-                                                std::uint64_t seed = 0);
-
-/// Reactive-style variant (§6.1: "we let the emulated hosts ping each
-/// other in order to populate the switches' flow tables"): rules for a
-/// subnet are installed only at switches that actually lie on some used
-/// shortest path — i.e., on the BFS-tree path from a switch with edge
-/// ports to the destination. Off-path switches get no rule and drop
-/// deviated packets, as a reactively-populated network would.
-std::vector<RuleId> install_used_shortest_paths(Controller& c);
-
 /// Fully reactive emulation: per-flow rules exactly like Floodlight's
 /// forwarding module installs them — one rule per (src subnet, dst
 /// subnet) pair at each switch on that pair's shortest path, matching
@@ -53,12 +35,6 @@ std::vector<RuleId> install_used_shortest_paths(Controller& c);
 /// which is why the paper's Table-3 localization succeeds so often:
 /// the real path is "prefix + one wrong hop + drop".
 std::vector<RuleId> install_per_flow_paths(Controller& c);
-
-/// The controller-intended path (sequence of hops) for a packet entering
-/// at `entry` and destined to dst, computed from the logical configs.
-/// Used by tests to compare against data-plane paths.
-std::vector<Hop> logical_path(const Controller& c, PortKey entry,
-                              const PacketHeader& h);
 
 }  // namespace routing
 }  // namespace veridp

@@ -48,10 +48,7 @@ ForwardResult Network::inject(const PacketHeader& h, PortKey entry, double t,
                                         first_hop && x_edge, y_edge, t);
     first_hop = false;
     if (x_edge && p.marker) result.sampled = true;
-    if (report) {
-      result.reports.push_back(*report);
-      if (sink_) sink_(*report);
-    }
+    if (report) result.reports.push_back(*report);
 
     if (y == kDropPort) {
       result.disposition = Disposition::kDropped;
@@ -76,13 +73,6 @@ ForwardResult Network::inject(const PacketHeader& h, PortKey entry, double t,
   result.disposition = Disposition::kTtlExpired;
   result.exit = cur;
   return result;
-}
-
-std::optional<ForwardResult> Network::inject_from_source(
-    const PacketHeader& h, double t) {
-  auto entry = topo_.edge_port_for(h.src_ip);
-  if (!entry) return std::nullopt;
-  return inject(h, *entry, t);
 }
 
 }  // namespace veridp

@@ -7,13 +7,14 @@
 // VeriDP TTL expires (which is how data-plane loops terminate, §6.2).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "dataplane/switch.hpp"
 #include "topo/topology.hpp"
 
 namespace veridp {
+
+// veridp-lint: hot-path
 
 /// What happened to an injected packet.
 enum class Disposition {
@@ -28,7 +29,8 @@ struct ForwardResult {
   std::vector<Hop> path;          ///< the real data-plane path
   PortKey exit{};                 ///< final <switch, outport> (out == ⊥ if dropped)
   bool sampled = false;           ///< did the entry switch mark the packet?
-  std::vector<TagReport> reports; ///< tag reports emitted along the way
+  std::vector<TagReport> reports; ///< tag reports emitted along the way (the
+                                  ///< data plane's one report output)
 };
 
 class Network {
@@ -48,13 +50,6 @@ class Network {
   }
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
   [[nodiscard]] int tag_bits() const { return tag_bits_; }
-
-  /// Optional sink invoked for every tag report as it is emitted (the
-  /// UDP channel to the VeriDP server). Reports are also returned in the
-  /// ForwardResult regardless.
-  void set_report_sink(std::function<void(const TagReport&)> sink) {
-    sink_ = std::move(sink);
-  }
 
   /// Pushes a new config epoch to every switch's VeriDP pipeline (the
   /// controller's southbound epoch announcement). Packets sampled after
@@ -90,17 +85,11 @@ class Network {
   ForwardResult inject(const PacketHeader& h, PortKey entry, double t = 0.0,
                        std::uint32_t size_bytes = 512);
 
-  /// Injects at the edge port owning h.src_ip (via attached subnets).
-  /// Returns nullopt if no subnet covers the source address.
-  std::optional<ForwardResult> inject_from_source(const PacketHeader& h,
-                                                  double t = 0.0);
-
  private:
   Topology topo_;
   int tag_bits_;
   std::vector<Switch> switches_;
   std::vector<double> base_intervals_;  ///< lazily captured (command_sampling)
-  std::function<void(const TagReport&)> sink_;
 };
 
 }  // namespace veridp

@@ -14,6 +14,8 @@
 
 namespace veridp {
 
+// veridp-lint: hot-path
+
 class Switch {
  public:
   Switch(SwitchId id, PortId num_ports,
@@ -29,17 +31,10 @@ class Switch {
   [[nodiscard]] VeriDpPipeline& pipeline() { return pipeline_; }
 
   /// The OpenFlow pipeline's forwarding decision for a packet received on
-  /// local port `x`: applies the in-bound ACL, the flow table, the
-  /// out-bound ACL (on the pre-rewrite header — rewrites happen at
-  /// egress), then any set-field actions, which mutate `h`. Returns the
-  /// output port, or kDropPort.
-  [[nodiscard]] PortId forward(PacketHeader& h, PortId x) const;
-
-  /// Decision-only variant for callers that must not see rewrites.
-  [[nodiscard]] PortId forward_decision(const PacketHeader& h,
-                                        PortId x) const {
-    PacketHeader copy = h;
-    return forward(copy, x);
+  /// local port `x` under the physical config (SwitchConfig::forward);
+  /// set-field actions mutate `h`.
+  [[nodiscard]] PortId forward(PacketHeader& h, PortId x) const {
+    return config_.forward(h, x);
   }
 
   /// Packets processed by this switch (all, sampled or not).

@@ -33,6 +33,21 @@ struct SwitchConfig {
     auto it = out_acls.find(y);
     return it == out_acls.end() ? kPermitAll : it->second;
   }
+
+  /// The forwarding decision for a packet received on local port `x`:
+  /// the in-bound ACL, the flow table, the out-bound ACL (on the
+  /// pre-rewrite header — rewrites happen at egress), then any set-field
+  /// actions, which mutate `h`. Returns the output port, or kDropPort.
+  /// The data plane (Switch) and the logical walk both run this rule.
+  [[nodiscard]] PortId forward(PacketHeader& h, PortId x) const {
+    if (!in_acl(x).permits(h)) return kDropPort;
+    const FlowRule* rule = table.lookup(h, x);
+    if (!rule || rule->action.is_drop()) return kDropPort;
+    const PortId y = rule->action.out;
+    if (!out_acl(y).permits(h)) return kDropPort;
+    rule->action.rewrite.apply(h);  // set-field at egress
+    return y;
+  }
 };
 
 }  // namespace veridp

@@ -10,19 +10,8 @@ std::vector<Hop> logical_walk(const Topology& topo,
   PacketHeader h = header;  // rewrites mutate the in-flight copy
   PortKey cur = entry;
   for (int i = 0; i < max_hops; ++i) {
-    const SwitchConfig& cfg = configs[static_cast<std::size_t>(cur.sw)];
-    PortId y = kDropPort;
-    if (cfg.in_acl(cur.port).permits(h)) {
-      const FlowRule* rule = cfg.table.lookup(h, cur.port);
-      if (rule && !rule->action.is_drop()) {
-        y = rule->action.out;
-        if (!cfg.out_acl(y).permits(h)) {
-          y = kDropPort;
-        } else {
-          rule->action.rewrite.apply(h);
-        }
-      }
-    }
+    const PortId y =
+        configs[static_cast<std::size_t>(cur.sw)].forward(h, cur.port);
     path.push_back(Hop{cur.port, cur.sw, y});
     if (y == kDropPort) return path;
     const PortKey out{cur.sw, y};

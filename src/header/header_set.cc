@@ -92,16 +92,6 @@ HeaderSet HeaderSpace::union_all(const std::vector<HeaderSet>& xs) const {
   return wrap(mgr_->or_all(refs));
 }
 
-HeaderSet HeaderSpace::intersect_all(const std::vector<HeaderSet>& xs) const {
-  std::vector<BddRef> refs;
-  refs.reserve(xs.size());
-  for (const auto& x : xs) {
-    assert(!x.mgr_ || x.mgr_ == mgr_);
-    refs.push_back(x.ref());
-  }
-  return wrap(mgr_->and_all(refs));
-}
-
 HeaderSet HeaderSet::operator&(const HeaderSet& o) const {
   assert(mgr_ && mgr_ == o.mgr_);
   return HeaderSet(mgr_, mgr_->apply_and(ref_, o.ref_));

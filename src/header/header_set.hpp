@@ -54,18 +54,16 @@ class HeaderSpace {
   /// The singleton set {h}.
   HeaderSet singleton(const PacketHeader& h) const;
 
-  /// Union / intersection of many sets via balanced pairwise reduction —
-  /// keeps intermediate BDDs small (better op-cache locality than a
-  /// left fold). Empty input yields none() / all() respectively.
+  /// Union of many sets via balanced pairwise reduction — keeps
+  /// intermediate BDDs small (better op-cache locality than a left
+  /// fold). Empty input yields none().
   HeaderSet union_all(const std::vector<HeaderSet>& xs) const;
-  HeaderSet intersect_all(const std::vector<HeaderSet>& xs) const;
 
   /// Pre-size the underlying tables for an expected node count.
   void reserve(std::size_t nodes) const { mgr_->reserve(nodes); }
 
   /// Underlying manager (for diagnostics: node counts, etc.).
   BddManager& manager() const { return *mgr_; }
-  const std::shared_ptr<BddManager>& manager_ptr() const { return mgr_; }
 
  private:
   HeaderSet wrap(BddRef r) const;

@@ -40,6 +40,7 @@
 
 #include "common/types.hpp"
 #include "veridp/seq_tracker.hpp"
+#include "veridp/verifier.hpp"
 
 namespace veridp {
 
@@ -163,6 +164,18 @@ struct IngestHealth {
   std::uint64_t regime_transitions = 0;  ///< edge-triggered changes applied
   std::uint64_t failsafe_events = 0;     ///< publisher failsafes (loud)
   std::uint64_t snapshot_flips = 0;  ///< the server's snapshot publications
+
+  /// Books one verdict: verified, and exactly one of passed / stale /
+  /// failed. Every verify path of both servers counts through here.
+  void tally(const Verdict& v) {
+    ++verified;
+    if (v.ok())
+      ++passed;
+    else if (v.status == VerifyStatus::kStaleEpoch)
+      ++stale;
+    else
+      ++failed;
+  }
 
   /// Everything that reached a terminal bucket.
   [[nodiscard]] std::uint64_t accounted() const {

@@ -25,8 +25,6 @@ bool ReportIngest::offer(const std::vector<std::uint8_t>& datagram) {
   const auto report = wire::decode_report(datagram);
   if (report) return offer_report(*report);
   intake_.quarantine();
-  quarantine_.push_back(datagram);
-  if (quarantine_.size() > kQuarantineKeep) quarantine_.pop_front();
   return false;
 }
 
@@ -53,17 +51,11 @@ std::size_t ReportIngest::process(std::size_t max) {
       // only for the sink, never for a plain pass.
       const Verdict& v = verdicts_[k];
       if (verdict_sink_) verdict_sink_(queue_.report(head + k), v);
-      if (v.ok())
-        ++health_.passed;
-      else if (v.status == VerifyStatus::kStaleEpoch)
-        ++health_.stale;
-      else
-        ++health_.failed;
+      health_.tally(v);
     }
     head += chunk;
   }
   queue_.consume_prefix(head);
-  health_.verified += head;
   health_.memo_hits += server_->memo_hits() - memo_hits0;
   return head;
 }

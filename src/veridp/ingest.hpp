@@ -7,7 +7,7 @@
 // growing without bound:
 //
 //   * decode quarantine — datagrams that fail wire::decode_report
-//     (truncated, bit-flipped, foreign) are counted and set aside, never
+//     (truncated, bit-flipped, foreign) are counted and dropped, never
 //     interpreted;
 //   * duplicate suppression — the v2 per-switch sequence numbers identify
 //     retransmitted/duplicated datagrams; duplicates are dropped before
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -61,8 +60,6 @@ struct IngestConfig {
 
 class ReportIngest {
  public:
-  static constexpr std::size_t kQuarantineKeep = 16;
-
   /// The server must outlive the ingest. Throws std::invalid_argument
   /// if `cfg` fails IngestConfig::validate().
   explicit ReportIngest(Server& server, IngestConfig cfg = {});
@@ -114,12 +111,6 @@ class ReportIngest {
   /// Health counters with the loss estimate refreshed.
   [[nodiscard]] IngestHealth health() const;
 
-  /// The kQuarantineKeep most recent malformed payloads.
-  [[nodiscard]] const std::deque<std::vector<std::uint8_t>>& quarantine()
-      const {
-    return quarantine_;
-  }
-
  private:
   /// The commanded regime, or the watermark's when ungoverned.
   [[nodiscard]] AdmissionRegime admission_regime() const {
@@ -139,7 +130,6 @@ class ReportIngest {
   /// repacking between the queue and the verifier.
   ReportBatch queue_;
   std::vector<Verdict> verdicts_;  ///< process() scratch, one per lane
-  std::deque<std::vector<std::uint8_t>> quarantine_;
 
   std::function<void(const TagReport&, const Verdict&)> verdict_sink_;
 };

@@ -282,17 +282,10 @@ void ParallelServer::worker_loop(unsigned idx) {
     if (verdicts.size() < n) verdicts.resize(n);
     verify_epoch_aware_batch(soa, 0, n, tables, &memo, verdicts.data());
     mismatches.clear();
+    IngestHealth counts;  // this batch's verdicts, added to ws below
     for (std::size_t k = 0; k < n; ++k) {
-      const Verdict& v = verdicts[k];
-      bump_relaxed(ws.verified);
-      if (v.ok()) {
-        bump_relaxed(ws.passed);
-      } else if (v.status == VerifyStatus::kStaleEpoch) {
-        bump_relaxed(ws.stale);
-      } else {
-        bump_relaxed(ws.failed);
-        mismatches.push_back(batch[k]);
-      }
+      counts.tally(verdicts[k]);
+      if (verdicts[k].failed()) mismatches.push_back(batch[k]);
     }
     if (!mismatches.empty()) {
       // Retained before task_done, so drain() waits on the lanes alone.
@@ -301,6 +294,10 @@ void ParallelServer::worker_loop(unsigned idx) {
       failures_.insert(failures_.end(), mismatches.begin(), mismatches.end());
       while (failures_.size() > cfg_.failure_keep) failures_.pop_front();
     }
+    bump_relaxed(ws.verified, counts.verified);
+    bump_relaxed(ws.passed, counts.passed);
+    bump_relaxed(ws.failed, counts.failed);
+    bump_relaxed(ws.stale, counts.stale);
     bump_relaxed(ws.memo_hits, memo.hits() - hits_before);
     WorkerProfile::bump(wp.memo_hits, memo.hits() - hits_before);
     WorkerProfile::bump(wp.memo_lookups, memo.lookups() - lookups_before);

@@ -10,8 +10,8 @@
 //                                                │ workers steal batches
 //                                                ▼
 //                             N workers, each: load snapshot (atomic
-//                             shared_ptr), verify_epoch_aware per report,
-//                             per-worker counters + profiler slot,
+//                             shared_ptr), verify_epoch_aware_batch per
+//                             batch, per-worker counters + profiler slot,
 //                             the batch's mismatches appended to the
 //                             retained failures (take_failures)
 //
@@ -215,7 +215,6 @@ class ParallelServer {
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] bool running() const { return !workers_.empty(); }
   [[nodiscard]] unsigned worker_count() const;
-  [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   [[nodiscard]] int tag_bits() const { return server_.tag_bits(); }
 
   /// Per-worker stall/steal/memo attribution (one slot per worker).

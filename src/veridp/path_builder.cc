@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 
 #include "bloom/bloom.hpp"
 
@@ -29,35 +30,7 @@ std::vector<FwdAtom> ConfigTransferProvider::atoms(SwitchId s, PortId x,
   return tfs_[static_cast<std::size_t>(s)].transfer_atoms(x, y);
 }
 
-void ReachIndex::record(PortKey inport, SwitchId s, const HeaderSet& h) {
-  auto& per_switch = reach_[inport];
-  auto [it, inserted] = per_switch.try_emplace(s, h);
-  if (!inserted) it->second |= h;
-}
-
-HeaderSet ReachIndex::reach(PortKey inport, SwitchId s) const {
-  if (auto it = reach_.find(inport); it != reach_.end())
-    if (auto jt = it->second.find(s); jt != it->second.end())
-      return jt->second;
-  return space_->none();
-}
-
-std::vector<PortKey> ReachIndex::affected_inports(
-    SwitchId s, const HeaderSet& delta) const {
-  std::vector<PortKey> out;
-  for (const auto& [inport, per_switch] : reach_) {
-    auto jt = per_switch.find(s);
-    if (jt == per_switch.end()) continue;
-    if (!(jt->second & delta).empty()) out.push_back(inport);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void ReachIndex::erase_inport(PortKey inport) { reach_.erase(inport); }
-
-// Memo of provider predicates shared across one build()/build_from()
-// call (never kept across calls: the provider's rules may change in
+// Memo of provider predicates shared across one build() call (never kept across calls: the provider's rules may change in
 // between). The traversal visits the same (switch, arrival-port) pair from
 // many entry ports, and each visit re-derives the identical drop
 // predicate and forwarding atoms — each a fresh chain of BDD ANDs inside
@@ -94,12 +67,11 @@ struct PathTableBuilder::TransferMemo {
 // recursion on long paths, but path lengths are bounded by the loop
 // cut-off so plain recursion via a helper lambda is fine and clearer.
 void PathTableBuilder::traverse(PathTable& table, PortKey inport,
-                                ReachIndex* reach, TransferMemo& memo) const {
+                                TransferMemo& memo) const {
   struct Walker {
     const PathTableBuilder& b;
     PathTable& table;
     PortKey inport;
-    ReachIndex* reach;
     TransferMemo& memo;
     std::vector<Hop> path;
     std::vector<PortKey> visited;  // arrival ports on the current path
@@ -107,7 +79,6 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
     void step(PortKey at, const HeaderSet& h, const BloomTag& tag) {
       const SwitchId s = at.sw;
       const PortId x = at.port;
-      if (reach) reach->record(inport, s, h);
 
       const PortId n = b.topo_->num_ports(s);
 
@@ -161,22 +132,16 @@ void PathTableBuilder::traverse(PathTable& table, PortKey inport,
     }
   };
 
-  Walker w{*this, table, inport, reach, memo, {}, {inport}};
+  Walker w{*this, table, inport, memo, {}, {inport}};
   w.step(inport, space_->all(), BloomTag(tag_bits_));
 }
 
-PathTable PathTableBuilder::build(ReachIndex* reach) const {
+PathTable PathTableBuilder::build() const {
   PathTable table;
   TransferMemo memo(transfer_);
   for (const PortKey& inport : topo_->edge_ports())
-    traverse(table, inport, reach, memo);
+    traverse(table, inport, memo);
   return table;
-}
-
-void PathTableBuilder::build_from(PathTable& table, PortKey inport,
-                                  ReachIndex* reach) const {
-  TransferMemo memo(transfer_);
-  traverse(table, inport, reach, memo);
 }
 
 }  // namespace veridp

@@ -7,14 +7,12 @@
 // the drop port ⊥; a path is cut when it would visit a port twice (the
 // paper's §6.1 loop removal).
 //
-// Transfer predicates are supplied through the TransferProvider interface
-// so the same traversal serves both the full build (predicates from
-// complete switch configs, ACLs included) and the incremental updater
-// (predicates maintained by the §4.4 rule tree).
+// Transfer predicates are supplied through the TransferProvider interface:
+// complete switch configs (ACLs and rewrites included) for the serving
+// build, or the §4.4 rule trees (RuleTreeProvider) for the incremental
+// updater's reference rebuild, consistent_with_rebuild. The updater
+// itself (incremental.hpp) walks its own flow forest, not this traversal.
 #pragma once
-
-#include <memory>
-#include <unordered_map>
 
 #include "flow/transfer.hpp"
 #include "topo/topology.hpp"
@@ -58,31 +56,6 @@ class ConfigTransferProvider : public TransferProvider {
   std::vector<TransferFunction> tfs_;
 };
 
-/// Which switches a given entry port's traffic can reach, with which
-/// headers — recorded during traversal and consumed by the incremental
-/// updater to find the entry ports a rule change affects (§4.4).
-class ReachIndex {
- public:
-  explicit ReachIndex(const HeaderSpace& space) : space_(&space) {}
-
-  /// OR `h` into the headers reaching switch `s` from `inport`.
-  void record(PortKey inport, SwitchId s, const HeaderSet& h);
-
-  /// Headers from `inport` that reach switch `s` (empty set if none).
-  [[nodiscard]] HeaderSet reach(PortKey inport, SwitchId s) const;
-
-  /// Entry ports whose traffic reaching switch `s` intersects `delta`.
-  [[nodiscard]] std::vector<PortKey> affected_inports(
-      SwitchId s, const HeaderSet& delta) const;
-
-  /// Forgets everything recorded for `inport` (before its rebuild).
-  void erase_inport(PortKey inport);
-
- private:
-  const HeaderSpace* space_;
-  std::unordered_map<PortKey, std::unordered_map<SwitchId, HeaderSet>> reach_;
-};
-
 class PathTableBuilder {
  public:
   PathTableBuilder(const HeaderSpace& space, const Topology& topo,
@@ -92,17 +65,11 @@ class PathTableBuilder {
         tag_bits_(tag_bits) {}
 
   /// Full build: Algorithm 2 from every edge port.
-  [[nodiscard]] PathTable build(ReachIndex* reach = nullptr) const;
-
-  /// Traverses from a single entry port, adding into `table` (the
-  /// incremental updater's per-inport rebuild).
-  void build_from(PathTable& table, PortKey inport,
-                  ReachIndex* reach = nullptr) const;
+  [[nodiscard]] PathTable build() const;
 
  private:
   struct TransferMemo;  // see .cc
-  void traverse(PathTable& table, PortKey inport, ReachIndex* reach,
-                TransferMemo& memo) const;
+  void traverse(PathTable& table, PortKey inport, TransferMemo& memo) const;
 
   const HeaderSpace* space_;
   const Topology* topo_;

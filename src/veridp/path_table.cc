@@ -25,7 +25,6 @@ const PathTable::EntryList* PathTable::lookup(PortKey inport,
   return &jt->second;
 }
 
-void PathTable::erase_inport(PortKey inport) { table_.erase(inport); }
 
 bool PathTable::remove_path(PortKey inport, PortKey outport,
                             const std::vector<Hop>& path) {

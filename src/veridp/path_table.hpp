@@ -13,10 +13,9 @@
 // interface — lookup, stats, for_each, outports, empty — is immutable
 // and race-free for any number of concurrent verification threads (the
 // HeaderSets it hands out obey the membership-side contract in
-// header_set.hpp). The mutators (add_path, erase_inport, remove_path,
-// clear) and `disjoint_headers` (which runs BDD set algebra on the
-// shared manager) require exclusive access to the table AND its
-// HeaderSpace. The parallel server never mutates a published table; it
+// header_set.hpp). The mutators (add_path, remove_path, clear) and
+// `disjoint_headers` (which runs BDD set algebra on the shared manager)
+// require exclusive access to the table AND its HeaderSpace. The parallel server never mutates a published table; it
 // builds a replacement in a fresh space and swaps pointers.
 #pragma once
 
@@ -59,9 +58,6 @@ class PathTable {
   /// The paths recorded for a pair, or nullptr if none.
   [[nodiscard]] const EntryList* lookup(PortKey inport,
                                         PortKey outport) const;
-
-  /// Drops every entry whose inport is `inport` (incremental rebuild).
-  void erase_inport(PortKey inport);
 
   /// Removes a specific path entry; returns false if absent.
   bool remove_path(PortKey inport, PortKey outport,

@@ -42,8 +42,7 @@ namespace veridp {
 [[nodiscard]] std::size_t autotuned_batch_size();
 
 /// Resolves a configured batch size: 0 means the autotuned default,
-/// 1 means the scalar (pre-batching) path, anything else is taken
-/// verbatim.
+/// anything else is taken verbatim.
 [[nodiscard]] inline std::size_t resolve_batch_size(std::size_t configured) {
   return configured == 0 ? autotuned_batch_size() : configured;
 }

@@ -53,11 +53,17 @@ void Server::on_rule_event(const RuleEvent& ev) {
     dirty_from_ = epoch_;
   }
   if (mode_ != Mode::kIncremental) return;
-  if (in_fragment(ev.rule)) {
-    deferred_.push_back(ev);  // kIncremental applies each event
+  if (ev.kind == RuleEvent::Kind::kAcl) {
+    // The updater models no ACL; a permit-all one changes no forwarding.
+    const SwitchConfig& cfg = controller_->logical(ev.sw);
+    if ((ev.outbound ? cfg.out_acl(ev.port) : cfg.in_acl(ev.port))
+            .trivially_permits_all())
+      return;
+  } else if (in_fragment(ev.rule)) {
+    deferred_.push_back(ev);  // kIncremental applies each rule event
     return;
   }
-  // The updater cannot model this rule: serve kFullRebuild for good.
+  // The updater cannot model this change: serve kFullRebuild for good.
   // The next refresh rebuilds from the configs, which hold every
   // queued event.
   mode_ = Mode::kFullRebuild;
@@ -166,14 +172,8 @@ EpochTables Server::epoch_tables() const {
 
 Verdict Server::verify(const TagReport& report) {
   ensure_fresh();
-  ++verified_;
   const Verdict v = verify_epoch_aware(report, epoch_tables(), &memo_);
-  if (v.ok())
-    ++passed_;
-  else if (v.status == VerifyStatus::kStaleEpoch)
-    ++stale_;
-  else
-    ++failed_;
+  verdicts_.tally(v);
   return v;
 }
 
@@ -182,15 +182,7 @@ void Server::verify_batch(const ReportBatch& batch, std::size_t first,
   if (count == 0) return;
   ensure_fresh();
   verify_epoch_aware_batch(batch, first, count, epoch_tables(), &memo_, out);
-  verified_ += count;
-  for (std::size_t k = 0; k < count; ++k) {
-    if (out[k].ok())
-      ++passed_;
-    else if (out[k].status == VerifyStatus::kStaleEpoch)
-      ++stale_;
-    else
-      ++failed_;
-  }
+  for (std::size_t k = 0; k < count; ++k) verdicts_.tally(out[k]);
 }
 
 LocalizeResult Server::localize(const TagReport& report) const {

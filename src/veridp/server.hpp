@@ -3,19 +3,19 @@
 // reports from switches, verifies them (Algorithm 3) and localizes faulty
 // switches on failure (Algorithm 4).
 //
-// Rule events are applied lazily: an event only records the new epoch
-// and marks the server dirty (kIncremental also queues the event), and
-// the next verify / verify_batch / table / stats call brings the table
-// up to date first (ensure_fresh, the one place events are applied).
+// Rule and ACL events are applied lazily: an event only records the new
+// epoch and marks the server dirty (kIncremental also queues a rule
+// event), and the next verify / verify_batch / table / stats call brings
+// the table up to date first (ensure_fresh, the one place events are
+// applied).
 // Two maintenance modes:
 //  * kIncremental — for §4.4's fragment: dst-prefix-only rules with
 //    priority equal to prefix length, no rewrites and no ACL but
 //    permit-all. The queued events are applied in order via
 //    IncrementalUpdater, O(affected branches) each, editing the table in
 //    place in one arena (the constructor's `space`). The server checks
-//    the fragment at sync() and on every rule event; on a miss it serves
-//    kFullRebuild from then on, and mode() says so. (An ACL set after
-//    sync() publishes no event, so neither mode sees it.)
+//    the fragment at sync() and on every rule or ACL event; on a miss it
+//    serves kFullRebuild from then on, and mode() says so.
 //  * kFullRebuild — arbitrary rules/ACLs; the table is rebuilt from the
 //    controller's logical configs, every build in a fresh HeaderSpace
 //    (BDD arena). Node creation needs exclusive use of an arena
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "controller/controller.hpp"
+#include "veridp/admission.hpp"
 #include "veridp/incremental.hpp"
 #include "veridp/localizer.hpp"
 #include "veridp/verifier.hpp"
@@ -130,12 +131,18 @@ class Server {
     return flips_.load(std::memory_order_relaxed);
   }
 
-  // Health counters. Every verify() lands in exactly one of passed /
-  // failed / stale.
-  [[nodiscard]] std::uint64_t reports_verified() const { return verified_; }
-  [[nodiscard]] std::uint64_t reports_passed() const { return passed_; }
-  [[nodiscard]] std::uint64_t reports_failed() const { return failed_; }
-  [[nodiscard]] std::uint64_t reports_stale() const { return stale_; }
+  // Health counters. Every verified report lands in exactly one of
+  // passed / failed / stale (IngestHealth::tally).
+  [[nodiscard]] std::uint64_t reports_verified() const {
+    return verdicts_.verified;
+  }
+  [[nodiscard]] std::uint64_t reports_passed() const {
+    return verdicts_.passed;
+  }
+  [[nodiscard]] std::uint64_t reports_failed() const {
+    return verdicts_.failed;
+  }
+  [[nodiscard]] std::uint64_t reports_stale() const { return verdicts_.stale; }
 
   /// Duplicate-report memo effectiveness (see VerifyMemo).
   [[nodiscard]] std::uint64_t memo_hits() const { return memo_.hits(); }
@@ -207,11 +214,7 @@ class Server {
   /// refresh.
   VerifyMemo memo_;
 
-  // Health counters.
-  std::uint64_t verified_ = 0;
-  std::uint64_t passed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t stale_ = 0;
+  IngestHealth verdicts_;  ///< the verified buckets only
 };
 
 }  // namespace veridp

@@ -6,6 +6,7 @@
 
 #include "controller/policy.hpp"
 #include "controller/routing.hpp"
+#include "flow/walk.hpp"
 #include "topo/generators.hpp"
 
 namespace veridp {
@@ -19,6 +20,12 @@ PacketHeader mk(Ipv4 src, Ipv4 dst, std::uint16_t dport = 80) {
   h.src_port = 777;
   h.dst_port = dport;
   return h;
+}
+
+/// The controller-intended path for `h` entering at `entry`.
+std::vector<Hop> logical_path(const Controller& c, PortKey entry,
+                              const PacketHeader& h) {
+  return logical_walk(c.topology(), c.logical_configs(), entry, h);
 }
 
 TEST(Controller, AddDeleteRulePublishesEvents) {
@@ -62,7 +69,7 @@ TEST(Routing, ShortestPathsDeliverEverywhereOnChain) {
   // Rules: for each of 4 subnets, one rule at each of 4 switches.
   EXPECT_EQ(c.num_rules(), 16u);
   // Logical walk from subnet 0's edge port to subnet 3 ends at its port.
-  const auto path = routing::logical_path(
+  const auto path = logical_path(
       c, PortKey{0, 3}, mk(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 3, 1)));
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back().sw, 3u);
@@ -82,7 +89,7 @@ TEST(Routing, ShortestPathsOnFatTreeAreMinimal) {
     const auto& [sp, ss] = subnets[i];
     const auto& [dp, ds] = subnets[subnets.size() - 1 - i];
     if (sp == dp) continue;
-    const auto path = routing::logical_path(
+    const auto path = logical_path(
         c, sp, mk(Ipv4{ss.addr}, Ipv4{ds.addr}));
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.back().sw, dp.sw);
@@ -142,7 +149,7 @@ TEST(Policy, DropTrafficInstallsDropRule) {
   Match ssh;
   ssh.dst_port = 22;
   policy::drop_traffic(c, 0, ssh, 1000);
-  const auto path = routing::logical_path(
+  const auto path = logical_path(
       c, PortKey{0, 3}, mk(Ipv4::of(10, 0, 0, 1), Ipv4::of(10, 0, 1, 1), 22));
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0].out, kDropPort);
@@ -165,13 +172,13 @@ TEST(Policy, SteerOverridesRouting) {
   from_mb.in_port = 3;
   policy::steer(c, s2, from_mb, 2, 1000);
 
-  const auto ssh_path = routing::logical_path(
+  const auto ssh_path = logical_path(
       c, PortKey{s1, 1}, mk(Ipv4::of(10, 0, 1, 1), Ipv4::of(10, 0, 2, 1), 22));
   ASSERT_EQ(ssh_path.size(), 4u);
   EXPECT_EQ(ssh_path[1], (Hop{1, s2, 3}));  // to middlebox
   EXPECT_EQ(ssh_path[2], (Hop{3, s2, 2}));  // back from middlebox
 
-  const auto web_path = routing::logical_path(
+  const auto web_path = logical_path(
       c, PortKey{s1, 1}, mk(Ipv4::of(10, 0, 1, 1), Ipv4::of(10, 0, 2, 1), 80));
   ASSERT_EQ(web_path.size(), 2u);  // direct S1 -> S3
   EXPECT_EQ(web_path[0].sw, s1);
@@ -188,9 +195,9 @@ TEST(Policy, TeSplitSplitsBySourcePrefix) {
                    {{Prefix{Ipv4::of(10, 0, 1, 1), 32}, 3},
                     {Prefix{Ipv4::of(10, 0, 1, 2), 32}, 4}},
                    1000);
-  const auto p1 = routing::logical_path(
+  const auto p1 = logical_path(
       c, PortKey{s1, 1}, mk(Ipv4::of(10, 0, 1, 1), Ipv4::of(10, 0, 2, 1)));
-  const auto p2 = routing::logical_path(
+  const auto p2 = logical_path(
       c, PortKey{s1, 2}, mk(Ipv4::of(10, 0, 1, 2), Ipv4::of(10, 0, 2, 1)));
   ASSERT_FALSE(p1.empty());
   ASSERT_FALSE(p2.empty());

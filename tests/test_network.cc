@@ -102,24 +102,6 @@ TEST_F(ChainNetwork, SameSwitchDelivery) {
   ASSERT_EQ(r.reports.size(), 1u);
 }
 
-TEST_F(ChainNetwork, ReportSinkReceivesCopies) {
-  std::vector<TagReport> seen;
-  net.set_report_sink([&seen](const TagReport& r) { seen.push_back(r); });
-  net.inject(mk(Ipv4::of(10, 0, 0, 5), Ipv4::of(10, 0, 2, 5)), PortKey{0, 3});
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].outport, (PortKey{2, 3}));
-}
-
-TEST_F(ChainNetwork, InjectFromSourceUsesSubnets) {
-  auto r = net.inject_from_source(
-      mk(Ipv4::of(10, 0, 0, 5), Ipv4::of(10, 0, 2, 5)));
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->disposition, Disposition::kDelivered);
-  EXPECT_FALSE(net.inject_from_source(
-                      mk(Ipv4::of(77, 0, 0, 5), Ipv4::of(10, 0, 2, 5)))
-                   .has_value());
-}
-
 TEST(Network, LoopTerminatesViaTtlWithReport) {
   // Two switches pointing at each other for the same prefix.
   Network net(linear(2));

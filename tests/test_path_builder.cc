@@ -123,22 +123,6 @@ TEST_F(ToyNetwork, EveryEdgePortHasEntries) {
     EXPECT_FALSE(table.outports(in).empty()) << to_string(in);
 }
 
-TEST_F(ToyNetwork, ReachIndexRecordsArrivals) {
-  ReachIndex reach(space);
-  PathTable t2 = builder.build(&reach);
-  // SSH traffic from (S1,1) reaches S2.
-  const HeaderSet at_s2 = reach.reach(PortKey{fig.s1, 1}, fig.s2);
-  EXPECT_TRUE(at_s2.contains(header(Figure5::h1(), Figure5::h3(), 22)));
-  EXPECT_FALSE(at_s2.contains(header(Figure5::h1(), Figure5::h3(), 80)));
-  // Everything injected at (S1,1) "reaches" S1 itself.
-  EXPECT_TRUE(reach.reach(PortKey{fig.s1, 1}, fig.s1).is_all());
-  // affected_inports finds entry ports whose traffic meets a delta.
-  const HeaderSet ssh_delta = space.field_eq(Field::DstPort, 22);
-  const auto affected = reach.affected_inports(fig.s2, ssh_delta);
-  EXPECT_NE(std::find(affected.begin(), affected.end(), PortKey{fig.s1, 1}),
-            affected.end());
-}
-
 TEST(PathBuilder, LoopyConfigurationStillTerminates) {
   // Two switches pointing at each other: traversal must cut the loop and
   // produce no delivery entry for the looping headers.
@@ -195,34 +179,6 @@ TEST(PathBuilder, FatTreeRoutingTableIsSaneAndDisjoint) {
       EXPECT_LE(e.path.size(), 6u);
     }
   EXPECT_TRUE(found);
-}
-
-TEST(PathBuilder, BuildFromSingleInportMatchesFullBuildSlice) {
-  Topology topo = linear(3);
-  Controller c(topo);
-  routing::install_shortest_paths(c);
-  HeaderSpace space;
-  ConfigTransferProvider provider(space, topo, c.logical_configs());
-  PathTableBuilder builder(space, topo, provider);
-  const PathTable full = builder.build();
-
-  const PortKey in{0, 3};
-  PathTable single;
-  builder.build_from(single, in);
-  // Every entry of `single` appears identically in `full`.
-  std::size_t checked = 0;
-  single.for_each([&](PortKey i, PortKey o, const PathEntry& e) {
-    ASSERT_EQ(i, in);
-    const auto* list = full.lookup(i, o);
-    ASSERT_NE(list, nullptr);
-    bool found = false;
-    for (const PathEntry& fe : *list)
-      if (fe.path == e.path && fe.headers == e.headers && fe.tag == e.tag)
-        found = true;
-    EXPECT_TRUE(found);
-    ++checked;
-  });
-  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

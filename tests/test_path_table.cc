@@ -75,17 +75,6 @@ TEST_F(PathTableTest, StatsCountPairsPathsAndLength) {
   EXPECT_DOUBLE_EQ(s.avg_path_length, (2 + 2 + 1) / 3.0);
 }
 
-TEST_F(PathTableTest, EraseInportDropsAllItsEntries) {
-  table.add_path(PortKey{0, 1}, PortKey{1, 3}, dst24(1), path1(),
-                 tag_of(path1()));
-  table.add_path(PortKey{0, 2}, PortKey{1, 3}, dst24(2), path1(),
-                 tag_of(path1()));
-  table.erase_inport(PortKey{0, 1});
-  EXPECT_EQ(table.lookup(PortKey{0, 1}, PortKey{1, 3}), nullptr);
-  ASSERT_NE(table.lookup(PortKey{0, 2}, PortKey{1, 3}), nullptr);
-  EXPECT_EQ(table.stats().num_pairs, 1u);
-}
-
 TEST_F(PathTableTest, RemovePathPrunesEmptyLevels) {
   table.add_path(PortKey{0, 1}, PortKey{1, 3}, dst24(1), path1(),
                  tag_of(path1()));

@@ -132,6 +132,64 @@ TEST(Server, IncrementalFallsBackOnAnAclAtSync) {
   EXPECT_EQ(failed, 0u);
 }
 
+// An ACL installed after sync() is a change to R like any rule: it bumps
+// the epoch, reaches the server as a kAcl event, and the next verify
+// judges against a table that holds it (§3.2's tap sees every change).
+// A deny-all inbound ACL on ping_all's first entry port drops 2 of the 6
+// reports' packets at ingress; a server that missed the event fails them.
+// kIncremental falls back (the updater models no ACL) unless the ACL
+// trivially permits all.
+TEST(Server, AclSetAfterSyncIsAnEvent) {
+  for (const Server::Mode mode :
+       {Server::Mode::kFullRebuild, Server::Mode::kIncremental}) {
+    SCOPED_TRACE(mode == Server::Mode::kIncremental ? "incremental" : "full");
+    Topology topo = linear(3);
+    Controller c(topo);
+    Server server(c, mode);
+    routing::install_shortest_paths(c);
+    server.sync();
+    std::vector<RuleEvent> events;
+    const std::uint64_t tap =
+        c.subscribe([&events](const RuleEvent& e) { events.push_back(e); });
+    const std::uint32_t synced = server.epoch();
+    const PortKey entry = workload::ping_all(topo).front().entry;
+
+    // A permit-all ACL is an event that changes no forwarding.
+    c.set_out_acl(entry.sw, entry.port, Acl());
+    EXPECT_EQ(server.epoch(), synced + 1);
+    EXPECT_EQ(server.mode(), mode);
+
+    c.set_in_acl(entry.sw, entry.port, Acl(/*default_permit=*/false));
+    EXPECT_EQ(server.epoch(), synced + 2);
+    EXPECT_EQ(server.mode(), Server::Mode::kFullRebuild);
+    Network net(topo);
+    c.deploy(net);
+    const auto [reports, failed] = verify_ping_all(server, net, topo);
+    EXPECT_EQ(reports, 6u);
+    EXPECT_EQ(failed, 0u);
+
+    // Outbound: a deny-all on the same port drops, at egress, what the
+    // other entry ports send into its subnet.
+    c.set_out_acl(entry.sw, entry.port, Acl(/*default_permit=*/false));
+    EXPECT_EQ(server.epoch(), synced + 3);
+    c.deploy(net);
+    const auto [reports2, failed2] = verify_ping_all(server, net, topo);
+    EXPECT_GT(reports2, 0u);
+    EXPECT_EQ(failed2, 0u);
+
+    ASSERT_EQ(events.size(), 3u);
+    for (const RuleEvent& e : events) {
+      EXPECT_EQ(e.kind, RuleEvent::Kind::kAcl);
+      EXPECT_EQ(e.sw, entry.sw);
+      EXPECT_EQ(e.port, entry.port);
+    }
+    EXPECT_TRUE(events[0].outbound);
+    EXPECT_FALSE(events[1].outbound);
+    EXPECT_TRUE(events[2].outbound);
+    c.unsubscribe(tap);
+  }
+}
+
 // A rule whose priority is not its prefix length is outside §4.4's
 // fragment: the /32 drop at priority 1 never wins over the /24 route in
 // the data plane, but the updater would model it as the longest match.

@@ -177,7 +177,8 @@ TEST_P(TransferAgreement, TransferPredicatesPartitionAndAgreeWithSwitch) {
     // Agreement with the concrete data-plane pipeline.
     for (int t = 0; t < 40; ++t) {
       const PacketHeader h = random_header(rng);
-      const PortId y = sw.forward_decision(h, x);
+      PacketHeader in_flight = h;
+      const PortId y = sw.forward(in_flight, x);
       EXPECT_TRUE(tf.transfer(x, y).contains(h))
           << "x=" << x << " y=" << y << " " << h.str();
     }
