@@ -366,7 +366,7 @@ class BddManager {
   // build instead of racing at runtime.
   // Leaf lock: sat_count never acquires another veridp lock while
   // holding the memo, so no declared-order edges originate here.
-  mutable SharedMutex count_mu_{"BddManager::count_mu"};
+  mutable SharedMutex count_mu_;
   // veridp-lint: allow(hot-path-node-map, sat_count memo, not per report)
   mutable std::unordered_map<BddRef, double> count_cache_
       GUARDED_BY(count_mu_);

@@ -27,22 +27,12 @@
 // Macro names follow the clang documentation's mutex.h reference so they
 // read like the upstream examples (CAPABILITY, GUARDED_BY, REQUIRES,
 // ACQUIRE/RELEASE, EXCLUDES, ...).
-// Lockdep (DESIGN.md §12): when VERIDP_LOCKDEP is defined, every
-// wrapper constructed with a name participates in runtime lock-order
-// checking — the name keys the lock's *class* (all per-lane mutexes
-// constructed as "ParallelServer::Lane::mu" share one class), nested
-// acquisitions record class-order edges, and an inversion aborts with
-// both acquisition stacks. Unnamed wrappers stay untracked (tests and
-// scratch locks); every lock in src/ is named. Without the macro the
-// hooks vanish and the wrappers keep their exact release layout.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
-
-#include "common/lockdep.hpp"
 
 #if defined(__clang__)
 #define VERIDP_THREAD_ANNOTATION__(x) __attribute__((x))
@@ -90,109 +80,37 @@ namespace veridp {
 /// Annotated exclusive mutex. The raw lock()/unlock() members exist only
 /// so the RAII guards and CondVar below can be written; production code
 /// takes a MutexLock (the `raw-lock` lint rule enforces this).
-///
-/// The named constructor enrolls the lock in lockdep's class registry
-/// under VERIDP_LOCKDEP (lockdep.hpp); locks sharing a construction-site
-/// name share a lock class and therefore an order contract. The hook
-/// calls below are inline no-ops in release builds, and the lockdep
-/// class id member exists only in checked builds, so the release layout
-/// and code are exactly the pre-lockdep ones.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  explicit Mutex(const char* name) {
-#ifdef VERIDP_LOCKDEP
-    cls_ = lockdep::register_class(name);
-#else
-    (void)name;
-#endif
-  }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() ACQUIRE() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kExclusive);
-    mu_.lock();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, false);
-  }
-  void unlock() RELEASE() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kExclusive);
-    mu_.unlock();
-  }
-  bool try_lock() TRY_ACQUIRE(true) {
-    const bool ok = mu_.try_lock();
-    if (ok)
-      lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, true);
-    return ok;
-  }
+  void lock() ACQUIRE() { mu_.lock(); }
+  void unlock() RELEASE() { mu_.unlock(); }
 
   /// The underlying std primitive, for CondVar::wait only.
   std::mutex& native() { return mu_; }
 
  private:
-  std::uint16_t cls_id() const {
-#ifdef VERIDP_LOCKDEP
-    return cls_;
-#else
-    return lockdep::kNoClass;
-#endif
-  }
-
   std::mutex mu_;
-#ifdef VERIDP_LOCKDEP
-  std::uint16_t cls_ = lockdep::kNoClass;
-#endif
 };
 
 /// Annotated shared (reader/writer) mutex, e.g. the BddManager
 /// sat_count memo: concurrent warm readers, exclusive cold fills.
-/// Same lockdep story as Mutex; shared acquisitions record their mode
-/// so the order graph distinguishes reader from writer edges.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
-  explicit SharedMutex(const char* name) {
-#ifdef VERIDP_LOCKDEP
-    cls_ = lockdep::register_class(name);
-#else
-    (void)name;
-#endif
-  }
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock() ACQUIRE() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kExclusive);
-    mu_.lock();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kExclusive, false);
-  }
-  void unlock() RELEASE() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kExclusive);
-    mu_.unlock();
-  }
-  void lock_shared() ACQUIRE_SHARED() {
-    lockdep::pre_acquire(cls_id(), lockdep::Mode::kShared);
-    mu_.lock_shared();
-    lockdep::post_acquire(cls_id(), lockdep::Mode::kShared, false);
-  }
-  void unlock_shared() RELEASE_SHARED() {
-    lockdep::on_release(cls_id(), lockdep::Mode::kShared);
-    mu_.unlock_shared();
-  }
+  void lock() ACQUIRE() { mu_.lock(); }
+  void unlock() RELEASE() { mu_.unlock(); }
+  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
 
  private:
-  std::uint16_t cls_id() const {
-#ifdef VERIDP_LOCKDEP
-    return cls_;
-#else
-    return lockdep::kNoClass;
-#endif
-  }
-
   std::shared_mutex mu_;
-#ifdef VERIDP_LOCKDEP
-  std::uint16_t cls_ = lockdep::kNoClass;
-#endif
 };
 
 /// Scoped exclusive lock over Mutex.

@@ -17,7 +17,7 @@ namespace {
 // commutative increment, no reader infers cross-variable ordering from
 // them, and health() documents its merged numbers as advisory while
 // workers run. The helpers centralize the justification the
-// relaxed-atomic lint rule demands (DESIGN.md §12).
+// relaxed-atomic lint rule demands (DESIGN.md §8.2).
 template <typename T>
 // veridp-lint: allow(relaxed-atomic, commutative counter increment; no ordering carried)
 inline void bump_relaxed(std::atomic<T>& c, T n = 1) {

@@ -29,10 +29,10 @@
 // switch distributions (one hot switch would starve N-1 workers) are
 // handled by bounded work-stealing at dequeue: a worker whose own lane
 // is dry releases it, then raids the deepest sibling lane for one batch
-// under that sibling's lock (never two lane locks at once: they are one
-// lockdep class). Verification itself is stateless across lanes
-// (immutable snapshot + per-worker memo), so a stolen report's verdict
-// is bit-identical wherever it lands; dedup stays exact because it is
+// under that sibling's lock (a thread never holds two lane locks at
+// once). Verification itself is stateless across lanes (immutable
+// snapshot + per-worker memo), so a stolen report's verdict is
+// bit-identical wherever it lands; dedup stays exact because it is
 // decided at lane admission, before any steal can move the report.
 //
 // Snapshot publication (RCU-style): the control plane is an owned
@@ -246,8 +246,8 @@ class ParallelServer {
   /// dequeues from, with the completion count drain() waits on. One
   /// lock guards all of it: producers, the owner and thieves serialize
   /// on `mu`, and the clang-strict build rejects any access outside a
-  /// MutexLock(lane.mu) scope. Lanes share one lockdep class, so no
-  /// thread ever holds two lane locks at once (DESIGN.md §12).
+  /// MutexLock(lane.mu) scope. A thread never holds two lane locks at
+  /// once (DESIGN.md §8.1).
   struct alignas(64) Lane {
     Lane(std::size_t capacity, std::size_t dedup_window)
         : intake(capacity, dedup_window) {}
@@ -270,7 +270,7 @@ class ParallelServer {
     /// start(): re-arms a closed lane.
     void open() EXCLUDES(mu);
 
-    mutable Mutex mu{"ParallelServer::Lane::mu"};
+    mutable Mutex mu;
     CondVar not_empty;  ///< a push, or close
     CondVar idle;       ///< unfinished reached 0
     Intake intake GUARDED_BY(mu);
@@ -314,7 +314,7 @@ class ParallelServer {
 
   // Retained mismatches (cold path). Workers take the lock once per
   // batch that failed, holding no other lock.
-  mutable Mutex failures_mu_{"ParallelServer::failures_mu"};
+  mutable Mutex failures_mu_;
   std::deque<TagReport> failures_ GUARDED_BY(failures_mu_);
 };
 

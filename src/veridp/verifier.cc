@@ -41,9 +41,6 @@ const PathTable* EpochTables::for_epoch(std::uint32_t e) const {
 }
 
 EpochTables EpochSnapshot::view() const {
-  // Checked builds abort here on use-after-retire / use-after-destroy
-  // (lockdep.hpp); release builds see gen 0 and pass.
-  lockdep::snapshot::check(lifecycle_gen, "EpochSnapshot::view");
   EpochTables t;
   t.epoch_checking = epoch_checking;
   t.epoch = epoch;

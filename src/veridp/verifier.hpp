@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/lockdep.hpp"
 #include "dataplane/packet.hpp"
 #include "veridp/path_table.hpp"
 
@@ -109,13 +108,6 @@ struct EpochTables {
 /// table, which each refresh edits in place, so that server republishes
 /// a fresh snapshot after every refresh and never lets another thread
 /// read it.)
-///
-/// Lifecycle discipline (checked builds, DESIGN.md §12): the snapshot
-/// registers a lockdep lifecycle generation at construction and
-/// view() aborts on a retired or destroyed generation — the
-/// arena-generation trick of §8.3 applied to snapshots. The contract
-/// it enforces: a snapshot handle is used within one batch under a
-/// live shared_ptr pin.
 struct EpochSnapshot {
   std::uint32_t epoch = 0;
   std::uint32_t table_valid_from = 0;
@@ -132,15 +124,6 @@ struct EpochSnapshot {
   /// `ranges`).
   std::vector<std::shared_ptr<const PathTable>> retained;
   std::vector<EpochTables::Range> ranges;
-  /// Lifecycle generation: 0 in release builds (check() passes), a
-  /// fresh registry entry in checked builds. The field itself is
-  /// unconditional so checked and plain TUs agree on the layout.
-  std::uint64_t lifecycle_gen = lockdep::snapshot::register_gen();
-
-  EpochSnapshot() = default;
-  EpochSnapshot(const EpochSnapshot&) = delete;
-  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
-  ~EpochSnapshot() { lockdep::snapshot::unregister(lifecycle_gen); }
 
   [[nodiscard]] EpochTables view() const;
 };

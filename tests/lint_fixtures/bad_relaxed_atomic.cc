@@ -1,5 +1,5 @@
 // Seeded violations for veridp_lint's relaxed-atomic rule: bare
-// memory_order_relaxed uses outside the profiler/lockdep internals,
+// memory_order_relaxed uses outside the profiler internals,
 // including one whose allow() is missing the required justification.
 // Never compiled; linted by ctest (lint_fixture_relaxed_atomic expects
 // this file to FAIL the lint with only relaxed-atomic findings).

@@ -42,14 +42,14 @@ Rules encode lessons this codebase has already paid for (DESIGN.md §8):
       src/common/murmur3.* is exempt (vendored published hash).
 
   relaxed-atomic
-      Every `memory_order_relaxed` outside the profiler and lockdep
-      internals (src/common/scal_profiler.*, src/common/lockdep.*)
-      needs `veridp-lint: allow(relaxed-atomic, <justification>)` with
+      Every `memory_order_relaxed` outside the profiler internals
+      (src/common/scal_profiler.*) needs
+      `veridp-lint: allow(relaxed-atomic, <justification>)` with
       a NON-EMPTY justification. Relaxed is correct for commutative
       counters and advisory flags, and subtly wrong the moment a
       reader infers anything about *other* memory from the value — e.g.
       a snapshot pointer published with a relaxed store, so a reader
-      sees the pointer before the table behind it (DESIGN.md §12). The
+      sees the pointer before the table behind it (DESIGN.md §8.2). The
       justification requirement forces the author to state which camp a
       site is in, reviewably, at the site.
 
@@ -86,12 +86,10 @@ FILE_EXEMPT = {
     "raw-lock": ("src/common/thread_annotations.hpp",),
     "xor-hash-key": ("src/common/murmur3.hpp", "src/common/murmur3.cc"),
     "bare-bddref-member": (),  # src/bdd/ handled as a directory below
-    # The profiler and the lockdep runtime ARE the justified-relaxed
-    # internals the rule points everyone else at.
+    # The profiler IS the justified-relaxed internals the rule points
+    # everyone else at.
     "relaxed-atomic": ("src/common/scal_profiler.hpp",
-                       "src/common/scal_profiler.cc",
-                       "src/common/lockdep.hpp",
-                       "src/common/lockdep.cc"),
+                       "src/common/scal_profiler.cc"),
 }
 
 RAW_LOCK_RE = re.compile(r"(?:\.|->)\s*(?:try_lock|lock|unlock)\s*\(")
@@ -268,9 +266,9 @@ def lint_file(path, rel, findings):
                    "use with allow(hot-path-node-map, <why>)")
         if not exempt("relaxed-atomic") and RELAXED_RE.search(code):
             report("relaxed-atomic", ln,
-                   "memory_order_relaxed outside the profiler/lockdep "
-                   "internals; justify it with allow(relaxed-atomic, "
-                   "<why>) or use acquire/release")
+                   "memory_order_relaxed outside the profiler internals; "
+                   "justify it with allow(relaxed-atomic, <why>) or use "
+                   "acquire/release")
         if not exempt("xor-hash-key") and "^" in code:
             m = XOR_SHIFT_RE.search(code)
             if m and int(m.group(1)) >= 8:
