@@ -4,11 +4,18 @@
 // is verified repeatedly and the mean time reported. Paper: 2-3 μs per
 // report (~5x10^5 reports/s, single-threaded).
 //
-// Uses google-benchmark for the measurement loop; one benchmark per
-// topology plus a throughput variant cycling through all reports.
+// Uses google-benchmark for the measurement loop. Two rows per topology:
+// `Verify` is Algorithm 3 one report at a time (verify_report: the pair
+// probe and the BDD walk); `VerifyBatch` is the server's batched kernel
+// (verify_epoch_aware_batch, 256 lanes, no memo), which decides lanes on
+// dst-classified inports with one interval search. Both cycle through
+// every report; time is per report.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_common.hpp"
+#include "veridp/report_batch.hpp"
 #include "veridp/verifier.hpp"
 
 using namespace veridp;
@@ -22,6 +29,7 @@ struct Fixture {
   std::unique_ptr<Setup> setup;
   PathTable table;
   std::vector<TagReport> reports;
+  ReportBatch batch;  // `reports`, column-wise
 
   explicit Fixture(Setup&& s_in) : setup(new Setup(std::move(s_in))) {
     auto [t, secs] = timed_build(*setup);
@@ -32,6 +40,7 @@ struct Fixture {
       if (auto h = e.headers.sample(rng))
         reports.push_back(TagReport{in, out, *h, e.tag});
     });
+    for (const TagReport& r : reports) batch.push(r);
   }
 };
 
@@ -57,11 +66,44 @@ void bm_verify(benchmark::State& state, Fixture& f) {
   if (failed != 0) state.SkipWithError("unexpected verification failure");
 }
 
+void bm_verify_batch(benchmark::State& state, Fixture& f) {
+  constexpr std::size_t kLanes = 256;
+  EpochTables tables;
+  tables.current = &f.table;
+  std::vector<Verdict> out(kLanes);
+  std::size_t first = 0;
+  std::size_t failed = 0;
+  std::int64_t lanes = 0;
+  for (auto _ : state) {
+    const std::size_t n = std::min(kLanes, f.batch.size() - first);
+    verify_epoch_aware_batch(f.batch, first, n, tables, nullptr, out.data());
+    for (std::size_t k = 0; k < n; ++k)
+      if (!out[k].ok()) ++failed;
+    benchmark::DoNotOptimize(out.data());
+    lanes += static_cast<std::int64_t>(n);
+    first = first + n == f.batch.size() ? 0 : first + n;
+  }
+  state.SetItemsProcessed(lanes);
+  // Seconds per report: one iteration verifies up to kLanes reports.
+  state.counters["per_report"] = benchmark::Counter(
+      static_cast<double>(lanes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  if (failed != 0) state.SkipWithError("unexpected verification failure");
+}
+
 void BM_Verify_Stanford(benchmark::State& state) { bm_verify(state, stanford()); }
 void BM_Verify_Internet2(benchmark::State& state) { bm_verify(state, internet2()); }
+void BM_VerifyBatch_Stanford(benchmark::State& state) {
+  bm_verify_batch(state, stanford());
+}
+void BM_VerifyBatch_Internet2(benchmark::State& state) {
+  bm_verify_batch(state, internet2());
+}
 
 BENCHMARK(BM_Verify_Stanford)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Verify_Internet2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VerifyBatch_Stanford)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VerifyBatch_Internet2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -38,10 +38,12 @@
 // Thread-safety contract (audited for the parallel verification server;
 // the concurrency tests under the TSan preset exercise it):
 //
-//   * READ-ONLY ops — eval/eval_with, pick_one, pick_random, size,
-//     top_var, dump, is_false/is_true — walk the immutable node store and
-//     allocate nothing shared; any number of threads may run them
-//     concurrently.
+//   * READ-ONLY ops — eval/eval_with, eval_packed_many, pick_one,
+//     pick_random, size, top_var, low_of/high_of, is_false/is_true —
+//     walk the immutable node store and allocate nothing shared; any
+//     number of threads may run them concurrently. (PathTable's lazy
+//     dst classifier build relies on top_var, low_of and high_of
+//     being in this set.)
 //   * sat_count is logically read-only but memoizes; its cache is
 //     guarded by an internal shared_mutex (read-mostly after warm-up:
 //     concurrent warm hits share the lock), so it is safe concurrently

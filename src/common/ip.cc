@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 
+#include "common/str_cat.hpp"
 #include "common/types.hpp"
 
 namespace veridp {
@@ -69,14 +70,16 @@ std::string to_string(const Prefix& p) {
 }
 
 std::string to_string(const PortKey& p) {
-  if (p.port == kDropPort) return "<S" + std::to_string(p.sw) + ", _|_>";
-  return "<S" + std::to_string(p.sw) + ", " + std::to_string(p.port) + ">";
+  if (p.port == kDropPort) return str_cat("<S", std::to_string(p.sw), ", _|_>");
+  return str_cat("<S", std::to_string(p.sw), ", ", std::to_string(p.port),
+                 ">");
 }
 
 std::string to_string(const Hop& h) {
-  std::string out = "<" + std::to_string(h.in) + ", S" + std::to_string(h.sw);
-  if (h.out == kDropPort) return out + ", _|_>";
-  return out + ", " + std::to_string(h.out) + ">";
+  const std::string out =
+      str_cat("<", std::to_string(h.in), ", S", std::to_string(h.sw));
+  if (h.out == kDropPort) return str_cat(out, ", _|_>");
+  return str_cat(out, ", ", std::to_string(h.out), ">");
 }
 
 }  // namespace veridp

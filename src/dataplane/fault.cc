@@ -1,40 +1,36 @@
 #include "dataplane/fault.hpp"
 
+#include "common/str_cat.hpp"
+
 namespace veridp {
 
 std::string FaultRecord::describe() const {
+  const std::string r = std::to_string(rule);
+  const std::string s = std::to_string(sw);
   switch (kind) {
     case FaultKind::kDropRule:
-      return "rule " + std::to_string(rule) + " dropped at S" +
-             std::to_string(sw);
+      return str_cat("rule ", r, " dropped at S", s);
     case FaultKind::kRewriteOutput:
-      return "rule " + std::to_string(rule) + " at S" + std::to_string(sw) +
-             " rewired to port " + std::to_string(new_port);
+      return str_cat("rule ", r, " at S", s, " rewired to port ",
+                     std::to_string(new_port));
     case FaultKind::kReplaceWithDrop:
-      return "rule " + std::to_string(rule) + " at S" + std::to_string(sw) +
-             " replaced with drop";
+      return str_cat("rule ", r, " at S", s, " replaced with drop");
     case FaultKind::kExternalRule:
-      return "external rule " + std::to_string(rule) + " inserted at S" +
-             std::to_string(sw);
+      return str_cat("external rule ", r, " inserted at S", s);
     case FaultKind::kIgnorePriority:
-      return "S" + std::to_string(sw) + " ignores rule priorities";
+      return str_cat("S", s, " ignores rule priorities");
     case FaultKind::kRemoveAclEntry:
-      return "ACL entry removed at S" + std::to_string(sw);
+      return str_cat("ACL entry removed at S", s);
     case FaultKind::kReportDrop:
-      return "report seq " + std::to_string(rule) + " from S" +
-             std::to_string(sw) + " dropped in channel";
+      return str_cat("report seq ", r, " from S", s, " dropped in channel");
     case FaultKind::kReportDuplicate:
-      return "report seq " + std::to_string(rule) + " from S" +
-             std::to_string(sw) + " duplicated in channel";
+      return str_cat("report seq ", r, " from S", s, " duplicated in channel");
     case FaultKind::kReportReorder:
-      return "report seq " + std::to_string(rule) + " from S" +
-             std::to_string(sw) + " reordered in channel";
+      return str_cat("report seq ", r, " from S", s, " reordered in channel");
     case FaultKind::kReportDelay:
-      return "report seq " + std::to_string(rule) + " from S" +
-             std::to_string(sw) + " delayed in channel";
+      return str_cat("report seq ", r, " from S", s, " delayed in channel");
     case FaultKind::kReportCorrupt:
-      return "report seq " + std::to_string(rule) + " from S" +
-             std::to_string(sw) + " corrupted in channel";
+      return str_cat("report seq ", r, " from S", s, " corrupted in channel");
   }
   return "unknown fault";
 }

@@ -47,10 +47,8 @@ using DstRule = std::pair<std::uint64_t, std::uint32_t>;
 
 /// Fills the interval index from dst-only rules.
 void build_intervals(std::vector<DstRule>& rules,
-                     std::vector<std::uint32_t>& starts,
-                     std::vector<std::uint32_t>& best) {
-  starts.clear();
-  best.clear();
+                     IntervalMap<std::uint32_t>& index) {
+  index.clear();
   if (rules.empty()) return;  // no index: lookups skip the search
   // By length, then address, then rank: of equal prefixes only the first
   // can win, so the rest are dropped.
@@ -64,6 +62,7 @@ void build_intervals(std::vector<DstRule>& rules,
     return static_cast<std::uint32_t>(key) |
            ~Prefix::mask(static_cast<std::uint8_t>(key >> 32));
   };
+  std::vector<std::uint32_t>& starts = index.starts;
   starts.assign(1, 0);
   for (const auto& [key, rank] : rules) {
     starts.push_back(static_cast<std::uint32_t>(key));
@@ -74,6 +73,7 @@ void build_intervals(std::vector<DstRule>& rules,
 
   // Prefixes of one length are disjoint and come in address order, so
   // one forward sweep over the intervals per length covers them all.
+  std::vector<std::uint32_t>& best = index.values;
   best.assign(starts.size(), kEmpty);
   std::size_t i = 0;
   std::uint64_t len = 64;
@@ -218,24 +218,15 @@ void FlowTable::rebuild() const {
       i = (i + 1) & mask;
     if (slots[i] == kEmpty) slots[i] = k;
   }
-  build_intervals(indexed, starts_, best_);
+  build_intervals(indexed, intervals_);
   stale_ = false;
 }
 
 const FlowRule* FlowTable::lookup(const PacketHeader& h,
                                   PortId in_port) const {
   if (stale_) rebuild();
-  std::uint32_t best = kEmpty;
-  if (!starts_.empty()) {
-    // The interval holding dst is the last start <= dst (starts_[0] == 0).
-    const std::uint32_t* s = starts_.data();
-    for (std::size_t n = starts_.size(); n > 1;) {
-      const std::size_t half = n / 2;
-      s = s[half] <= h.dst_ip.value ? s + half : s;  // a cmov, not a branch
-      n -= half;
-    }
-    best = best_[static_cast<std::size_t>(s - starts_.data())];
-  }
+  std::uint32_t best =
+      intervals_.empty() ? kEmpty : intervals_.at(h.dst_ip.value);
   const std::uint64_t ips = ip_word(h.src_ip.value, h.dst_ip.value);
   const std::uint64_t l4 = l4_word(h.proto, h.src_port, h.dst_port);
   for (const Tuple& t : tuples_) {

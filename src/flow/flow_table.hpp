@@ -33,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/interval_map.hpp"
 #include "flow/rule.hpp"
 
 namespace veridp {
@@ -122,11 +123,10 @@ class FlowTable {
   // The lookup index over rules_; rebuilt when stale_.
   mutable std::vector<Entry> entries_;  // by rank
   mutable std::vector<Tuple> tuples_;   // ascending min_rank
-  // Interval index, empty if no rule is indexed. Else starts_[0] == 0,
-  // ascending, and best_[i] is the best rank of an indexed rule covering
-  // [starts_[i], starts_[i + 1]), or kEmpty.
-  mutable std::vector<std::uint32_t> starts_;
-  mutable std::vector<std::uint32_t> best_;
+  // Interval index over dst, empty if no rule is indexed. Else each
+  // interval holds the best rank of an indexed rule covering it, or
+  // kEmpty.
+  mutable IntervalMap<std::uint32_t> intervals_;
   mutable bool stale_ = true;
 };
 

@@ -22,18 +22,21 @@ HeaderSet Match::to_header_set(const HeaderSpace& space) const {
 }
 
 std::string Match::str() const {
+  // Appends only: GCC 12 at -O3 warns falsely (-Wrestrict) on
+  // `"key=" + std::to_string(x)` and on assigning a literal here.
   std::string out;
-  auto append = [&out](const std::string& part) {
+  auto append = [&out](const char* key, const std::string& value) {
     if (!out.empty()) out += ", ";
-    out += part;
+    out += key;
+    out += value;
   };
-  if (src.len > 0) append("src=" + to_string(src));
-  if (dst.len > 0) append("dst=" + to_string(dst));
-  if (proto) append("proto=" + std::to_string(*proto));
-  if (src_port) append("sport=" + std::to_string(*src_port));
-  if (dst_port) append("dport=" + std::to_string(*dst_port));
-  if (in_port) append("in_port=" + std::to_string(*in_port));
-  if (out.empty()) out = "*";
+  if (src.len > 0) append("src=", to_string(src));
+  if (dst.len > 0) append("dst=", to_string(dst));
+  if (proto) append("proto=", std::to_string(*proto));
+  if (src_port) append("sport=", std::to_string(*src_port));
+  if (dst_port) append("dport=", std::to_string(*dst_port));
+  if (in_port) append("in_port=", std::to_string(*in_port));
+  if (out.empty()) out += '*';
   return out;
 }
 

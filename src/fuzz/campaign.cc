@@ -528,6 +528,63 @@ RunResult CampaignRunner::run(const FuzzSchedule& schedule) const {
               << " dst=" << to_string(p32) << "\n";
         return true;
       }
+      case MutationClass::kAclChurn: {
+        // A controller-intended ACL change after sync, mirrored onto the
+        // physical port (both planes; like kChurn, never via deploy(),
+        // which would repair injected faults). At an edge port that is
+        // no campaign ACL site: add a port-80 deny toward a peer subnet,
+        // or remove the ACL an earlier acl_churn left there.
+        const auto& subs = topo.subnets();
+        if (subs.size() < 2) return false;
+        const auto& [eport, esub] = subs[act.a % subs.size()];
+        const Prefix dsub = subs[act.b % subs.size()].second;
+        for (const AclSite& site : acl_sites)
+          if (site.sw == eport.sw && site.port == eport.port) return false;
+        const bool add =
+            c.logical(eport.sw).in_acl(eport.port).trivially_permits_all();
+        Acl acl;  // permit-all: the removal
+        if (add) {
+          Match deny;
+          deny.src = esub;
+          deny.dst = dsub;
+          deny.dst_port = 80;
+          acl.deny(deny);
+        }
+        c.set_in_acl(eport.sw, eport.port, acl);
+        net.at(eport.sw).config().in_acls[eport.port] = acl;
+        hints.push_back({Hint::Kind::kPair, dsub, esub, kNoSwitch, false});
+        trace << "apply " << current_round << " acl_churn sw=" << eport.sw
+              << " port=" << eport.port << (add ? " added" : " removed")
+              << "\n";
+        return true;
+      }
+      case MutationClass::kOddPriority: {
+        // A controller-intended rule whose priority is not its prefix
+        // length, installed in both planes as a delta (as kChurn). Odd
+        // salt: the subnet widened by one bit, delivered to the subnet's
+        // port above every route, so the sibling half follows it there.
+        // Even salt: the subnet itself at priority 1, shadowed by its
+        // route.
+        const auto& subs = topo.subnets();
+        if (subs.empty()) return false;
+        const auto& [port, sub] = subs[act.a % subs.size()];
+        const bool above = act.b % 2 == 1;
+        const std::uint8_t len =
+            above && sub.len > 1 ? static_cast<std::uint8_t>(sub.len - 1)
+                                 : sub.len;
+        const Prefix p(Ipv4{sub.addr & Prefix::mask(len)}, len);
+        const std::int32_t prio =
+            above ? 50000 + static_cast<std::int32_t>(act.b) : 1;
+        const RuleId id =
+            c.add_rule(port.sw, prio, Match::dst_prefix(p),
+                       above ? Action::output(port.port) : Action::drop());
+        const FlowRule* lr = c.logical(port.sw).table.find(id);
+        if (lr) net.at(port.sw).config().table.add(*lr);
+        hints.push_back({Hint::Kind::kDstPrefix, p, {}, kNoSwitch, false});
+        trace << "apply " << current_round << " odd_priority sw=" << port.sw
+              << " dst=" << to_string(p) << " priority=" << prio << "\n";
+        return true;
+      }
     }
     return false;
   };

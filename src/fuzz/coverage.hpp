@@ -10,7 +10,7 @@
 // schedule's mutation classes with the verdict kinds and regimes it
 // actually observed; a run that lights up any previously unseen key is
 // interesting and its schedule enters the corpus as a seed for further
-// mutation. The space is small (15 classes x shapes x 4 verdict kinds x
+// mutation. The space is small (17 classes x shapes x 4 verdict kinds x
 // 3 regimes) by design: it is a scheduling heuristic, not a profile.
 #pragma once
 

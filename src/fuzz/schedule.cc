@@ -30,6 +30,8 @@ constexpr std::array<ClassName, kNumMutationClasses> kClassNames = {{
     {MutationClass::kReportDelay, "report_delay"},
     {MutationClass::kReportCorrupt, "report_corrupt"},
     {MutationClass::kChurn, "churn"},
+    {MutationClass::kAclChurn, "acl_churn"},
+    {MutationClass::kOddPriority, "odd_priority"},
 }};
 
 template <typename T>
@@ -82,6 +84,8 @@ bool is_harmful(MutationClass c) {
     case MutationClass::kReportDelay:
     case MutationClass::kReportCorrupt:
     case MutationClass::kChurn:
+    case MutationClass::kAclChurn:
+    case MutationClass::kOddPriority:
       return false;
   }
   return false;

@@ -25,10 +25,13 @@ namespace veridp {
 namespace fuzz {
 
 /// Every mutation class the campaign can schedule. The first 11 map 1:1
-/// onto FaultKind (6 switch-state + 5 report-transport); the last four
+/// onto FaultKind (6 switch-state + 5 report-transport); the next four
 /// are the composed mutations the ROADMAP's scenario-diversity item
 /// names: rule-priority / ACL-ordering shuffles, install-channel rule
-/// loss, and (benign, controller-intended) topology/config churn.
+/// loss, and (benign, controller-intended) topology/config churn. The
+/// last two are benign controller-side changes the path table must
+/// follow: an ACL added or removed after sync, and a rule whose priority
+/// is not its prefix length (outside §4.4's fragment).
 enum class MutationClass : std::uint8_t {
   // Switch-state faults (harmful: the data plane diverges from R).
   kDropRule,
@@ -49,9 +52,14 @@ enum class MutationClass : std::uint8_t {
   kReportCorrupt,
   // Controller-intended churn (benign: logical and physical move together).
   kChurn,
+  kAclChurn,     ///< an edge ACL added or removed after sync
+  kOddPriority,  ///< a dst-prefix rule at a priority != its length
 };
 
-inline constexpr int kNumMutationClasses = 15;
+inline constexpr int kNumMutationClasses = 17;
+/// The classes with a single-class run in a campaign's opening sweep:
+/// all but the last two, which ride in the benign flood (scheduler.hpp).
+inline constexpr int kNumSweepClasses = 15;
 
 /// True for the classes that make the data plane diverge from the
 /// controller's logical view — the oracle expects detections only from
@@ -81,6 +89,8 @@ inline constexpr int kNumMutationClasses = 15;
 ///   kInstallLoss      loss permille    rng salt        -            -
 ///   kReport*          rate permille    -               -            -
 ///   kChurn            subnet ordinal   -               -            -
+///   kAclChurn         subnet ordinal   subnet ordinal  -            -
+///   kOddPriority      subnet ordinal   priority salt   -            -
 struct FuzzAction {
   int round = 0;  ///< campaign round at which the action fires
   MutationClass cls = MutationClass::kChurn;

@@ -11,7 +11,7 @@ namespace fuzz {
 
 namespace {
 
-constexpr MutationClass kAllClasses[kNumMutationClasses] = {
+constexpr MutationClass kSweepClasses[kNumSweepClasses] = {
     MutationClass::kDropRule,        MutationClass::kRewriteOutput,
     MutationClass::kReplaceWithDrop, MutationClass::kExternalRule,
     MutationClass::kIgnorePriority,  MutationClass::kRemoveAclEntry,
@@ -35,6 +35,12 @@ constexpr MutationClass kBenign[] = {
     MutationClass::kReportDrop,  MutationClass::kReportDuplicate,
     MutationClass::kReportReorder, MutationClass::kReportDelay,
     MutationClass::kReportCorrupt, MutationClass::kChurn,
+};
+
+/// Benign controller-side changes; the flood adds them after kBenign.
+constexpr MutationClass kControlChurn[] = {
+    MutationClass::kAclChurn,
+    MutationClass::kOddPriority,
 };
 
 /// Default transport rate (permille) per report class — corrupt stays
@@ -83,6 +89,10 @@ FuzzAction make_action(Rng& rng, MutationClass cls, int round) {
     a.b = static_cast<std::uint32_t>(rng.uniform(0, 1u << 20));
   } else if (cls == MutationClass::kChurn) {
     a.a = static_cast<std::uint32_t>(rng.uniform(0, 63));
+  } else if (cls == MutationClass::kAclChurn ||
+             cls == MutationClass::kOddPriority) {
+    a.a = static_cast<std::uint32_t>(rng.uniform(0, 63));
+    a.b = static_cast<std::uint32_t>(rng.uniform(0, 63));
   } else {
     a.a = transport_rate(cls);
   }
@@ -97,10 +107,10 @@ FuzzSchedule ScheduleGenerator::generate(int index) const {
   s.seed = fnv1a(std::to_string(seed_) + "/run/" + std::to_string(index));
   s.rounds = 6;
 
-  if (index < kNumMutationClasses) {
+  if (index < kNumSweepClasses) {
     // Single-class probe: two instances of the class (rounds 1 and 3)
     // raise the odds that at least one is effectful.
-    const MutationClass cls = kAllClasses[index];
+    const MutationClass cls = kSweepClasses[index];
     s.topo = pick_topo(rng, cls);
     if (is_harmful(cls)) {
       s.actions.push_back(make_action(rng, cls, 1));
@@ -116,15 +126,19 @@ FuzzSchedule ScheduleGenerator::generate(int index) const {
     return s;
   }
 
-  if (index == kNumMutationClasses) {
+  if (index == kNumSweepClasses) {
     // Benign-only chaos flood: every transport fault plus churn, heavy
-    // copies — the strongest zero-false-positive stressor.
+    // copies — the strongest zero-false-positive stressor. The
+    // controller-side classes come last, so each changes the path table
+    // under a stream that already carries every transport fault.
     s.topo = "fat4";
     s.rounds = 8;
     s.copies = 5;
     s.probe_stride = 1;
     int round = 1;
     for (const MutationClass c : kBenign)
+      s.actions.push_back(make_action(rng, c, round++ % s.rounds));
+    for (const MutationClass c : kControlChurn)
       s.actions.push_back(make_action(rng, c, round++ % s.rounds));
     return s;
   }

@@ -5,13 +5,17 @@
 // makes a whole campaign — and its scorecard — replayable. The sequence
 // is structured for coverage first, depth second:
 //
-//   * runs 0..14   — one single-class schedule per MutationClass, so
-//                    every fault class is exercised (and scored in
-//                    isolation: detection/localization attribution is
-//                    only unambiguous in single-harmful-class runs);
+//   * runs 0..14   — one single-class schedule per fault, transport
+//                    and churn class (kNumSweepClasses), so every fault
+//                    class is exercised (and scored in isolation:
+//                    detection/localization attribution is only
+//                    unambiguous in single-harmful-class runs);
 //   * run  15      — a benign-only transport + churn flood (regime
 //                    coverage and the zero-false-positive check under
-//                    maximum pressure);
+//                    maximum pressure), which also carries the two
+//                    controller-side classes (an ACL added or removed
+//                    after sync, a rule at a priority other than its
+//                    prefix length);
 //   * runs 16+     — seeded multi-fault compositions (2-4 harmful
 //                    classes plus transport/churn noise), or mutations
 //                    of interesting corpus schedules when the driver

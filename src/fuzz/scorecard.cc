@@ -153,7 +153,7 @@ CampaignOutcome run_campaign(const CampaignOptions& opts) {
     // odd indices work the corpus instead of generating fresh — that's
     // the "guided" part. Every fourth index cross-breeds two distinct
     // coverage-advancing entries; the other odd indices mutate one.
-    const bool corpus_slot = index > kNumMutationClasses &&
+    const bool corpus_slot = index > kNumSweepClasses &&
                              (index % 2 == 1) &&
                              !outcome.interesting.empty();
     if (corpus_slot) {

@@ -3,6 +3,7 @@
 // (used by the fault-localization tests).
 #include <cassert>
 
+#include "common/str_cat.hpp"
 #include "topo/generators.hpp"
 
 namespace veridp {
@@ -12,7 +13,7 @@ Topology linear(int n) {
   Topology t;
   std::vector<SwitchId> sw;
   for (int i = 0; i < n; ++i)
-    sw.push_back(t.add_switch("s" + std::to_string(i + 1), 3));
+    sw.push_back(t.add_switch(str_cat("s", std::to_string(i + 1)), 3));
   for (int i = 0; i + 1 < n; ++i)
     t.add_link(PortKey{sw[static_cast<std::size_t>(i)], 2},
                PortKey{sw[static_cast<std::size_t>(i + 1)], 1});

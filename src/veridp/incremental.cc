@@ -66,21 +66,14 @@ bool IncrementalUpdater::would_loop(const FlowNode& node,
   return false;
 }
 
-void IncrementalUpdater::subtract_entry(const FlowNode& node, PortId y,
+bool IncrementalUpdater::subtract_entry(const FlowNode& node, PortId y,
                                         const HeaderSet& h_sub) {
   const PortKey outport{node.s, y};
   std::vector<Hop> path = chain_path(node);
   path.push_back(Hop{node.x, node.s, y});
-  auto* list =
-      const_cast<PathTable::EntryList*>(table_.lookup(node.inport, outport));
-  assert(list);
-  for (PathEntry& e : *list) {
-    if (e.path != path) continue;
-    e.headers -= h_sub;
-    if (e.headers.empty()) table_.remove_path(node.inport, outport, path);
-    return;
-  }
-  assert(false && "terminal marker without a path entry");
+  assert(table_.lookup(node.inport, outport) &&
+         "terminal marker without a path entry");
+  return table_.subtract_headers(node.inport, outport, path, h_sub);
 }
 
 void IncrementalUpdater::handle_out(FlowNode& node, PortId y,
@@ -162,23 +155,10 @@ void IncrementalUpdater::subtract_subtree(FlowNode& node,
   node.h -= hh;
 
   // Shrink terminal entries first (they reference the pre-erase chain).
-  for (auto it = node.terminals.begin(); it != node.terminals.end();) {
-    const PortId y = *it;
-    subtract_entry(node, y, hh);
-    // Terminal survives iff its entry still exists.
-    const PortKey outport{node.s, y};
-    std::vector<Hop> path = chain_path(node);
-    path.push_back(Hop{node.x, node.s, y});
-    const auto* list = table_.lookup(node.inport, outport);
-    bool alive = false;
-    if (list)
-      for (const PathEntry& e : *list)
-        if (e.path == path) {
-          alive = true;
-          break;
-        }
-    it = alive ? std::next(it) : node.terminals.erase(it);
-  }
+  // A terminal survives iff its entry does.
+  for (auto it = node.terminals.begin(); it != node.terminals.end();)
+    it = subtract_entry(node, *it, hh) ? std::next(it)
+                                        : node.terminals.erase(it);
 
   for (auto it = node.children.begin(); it != node.children.end();) {
     FlowNode& child = *it->second;
@@ -252,19 +232,7 @@ IncrementalUpdater::UpdateStats IncrementalUpdater::redirect(
     // Shrink the losing branch. It may be a terminal, a child, or absent
     // (the branch was loop-cut during construction).
     if (node->terminals.contains(from)) {
-      subtract_entry(*node, from, h2);
-      const PortKey outport{node->s, from};
-      std::vector<Hop> path = chain_path(*node);
-      path.push_back(Hop{node->x, node->s, from});
-      const auto* list = table_.lookup(node->inport, outport);
-      bool alive = false;
-      if (list)
-        for (const PathEntry& e : *list)
-          if (e.path == path) {
-            alive = true;
-            break;
-          }
-      if (!alive) node->terminals.erase(from);
+      if (!subtract_entry(*node, from, h2)) node->terminals.erase(from);
     } else if (auto it = node->children.find(from);
                it != node->children.end()) {
       FlowNode& child = *it->second;

@@ -106,7 +106,8 @@ class IncrementalUpdater {
   std::vector<Hop> chain_path(const FlowNode& node) const;
   UpdateStats redirect(SwitchId s, const HeaderSet& delta, PortId from,
                        PortId to);
-  void subtract_entry(const FlowNode& node, PortId y, const HeaderSet& h_sub);
+  /// Narrows the terminal entry (node, y) by h_sub; whether it survives.
+  bool subtract_entry(const FlowNode& node, PortId y, const HeaderSet& h_sub);
 
   const HeaderSpace* space_;
   const Topology* topo_;

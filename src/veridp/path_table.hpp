@@ -9,22 +9,43 @@
 // which is what makes Algorithm 3's first-header-match verification
 // sound; a debug checker (`disjoint_headers`) asserts it in tests.
 //
+// Dst-interval classifier (DESIGN.md §11). On an inport whose entries
+// test only dst-IP bits and whose dst sets are pairwise disjoint across
+// ALL its outports, a header matches at most one entry, and its dst
+// address alone says which. Its classifier holds that inport's dst
+// intervals, each naming its one entry (or none), so Algorithm 3 there
+// is one interval search and a compare. Other inports (ACL'd, rewrites)
+// have none and keep the BDD walk. An inport's classifier is built on
+// the first call that asks for it (InportView::classifier), never when
+// the table is built, and each mutator drops the classifier of the
+// inport it edits.
+//
 // Thread-safety: a fully built PathTable read through its const
-// interface — lookup, stats, for_each, outports, empty — is immutable
-// and race-free for any number of concurrent verification threads (the
+// interface — lookup, inport, stats, for_each, outports, empty —
+// is race-free for any number of concurrent verification threads (the
 // HeaderSets it hands out obey the membership-side contract in
-// header_set.hpp). The mutators (add_path, remove_path, clear) and
-// `disjoint_headers` (which runs BDD set algebra on the shared manager)
-// require exclusive access to the table AND its HeaderSpace. The parallel server never mutates a published table; it
-// builds a replacement in a fresh space and swaps pointers.
+// header_set.hpp). The one write a const call makes is
+// InportView::classifier installing an inport's classifier. That is
+// race-free too: the build only reads entries (read-only BDD walks),
+// the slot is an atomic pointer installed with a release CAS and read
+// with acquire, and a thread that loses the install race frees its own
+// copy and uses the winner's. The mutators (add_path, remove_path,
+// subtract_headers, clear) and `disjoint_headers` (which runs BDD set
+// algebra on the shared manager) require exclusive access to the table
+// AND its HeaderSpace. The parallel server never mutates a published table; it
+// builds a replacement in a fresh space and swaps pointers. A table
+// edited in place (kIncremental) has one reader, the editing thread, so
+// dropping a classifier there races with nothing.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "bloom/bloom.hpp"
+#include "common/interval_map.hpp"
 #include "common/types.hpp"
 #include "header/header_set.hpp"
 
@@ -45,9 +66,41 @@ struct PathTableStats {
   double avg_path_length = 0.0; ///< mean hop count over all paths
 };
 
+/// One interval of an inport's dst classifier: the entry whose header
+/// set holds every dst in the interval, that entry's outport, and a copy
+/// of its tag (so a verdict loads no entry); a gap between entries has
+/// entry == nullptr.
+struct DstClass {
+  const PathEntry* entry = nullptr;
+  PortKey outport{};
+  BloomTag tag{BloomTag::kDefaultBits};
+};
+
 class PathTable {
+  struct Inport;
+
  public:
   using EntryList = std::vector<PathEntry>;
+  using DstClassifier = IntervalMap<DstClass>;
+
+  /// One inport's entries, found with one probe: what a verifier needs
+  /// per report. Default-constructed, or for an inport without entries,
+  /// it finds nothing.
+  class InportView {
+   public:
+    InportView() = default;
+    /// The paths recorded for (this inport, outport), or nullptr.
+    [[nodiscard]] const EntryList* lookup(PortKey outport) const;
+    /// This inport's dst-interval classifier (see the header comment),
+    /// built on the first call for the inport; nullptr if it is not
+    /// classifiable. Valid until the next mutation of its entries.
+    [[nodiscard]] const DstClassifier* classifier() const;
+
+   private:
+    friend class PathTable;
+    explicit InportView(const Inport* in) : in_(in) {}
+    const Inport* in_ = nullptr;
+  };
 
   /// Adds a path. If an entry with the identical hop sequence already
   /// exists for the pair, its header set is widened instead (the §4.4
@@ -57,11 +110,27 @@ class PathTable {
 
   /// The paths recorded for a pair, or nullptr if none.
   [[nodiscard]] const EntryList* lookup(PortKey inport,
-                                        PortKey outport) const;
+                                        PortKey outport) const {
+    return this->inport(inport).lookup(outport);
+  }
+
+  /// `inport`'s entries, for lookups and its classifier.
+  [[nodiscard]] InportView inport(PortKey inport) const;
 
   /// Removes a specific path entry; returns false if absent.
   bool remove_path(PortKey inport, PortKey outport,
                    const std::vector<Hop>& path);
+
+  /// Narrows a specific path entry's header set by `headers`, removing
+  /// the entry once it is empty. Returns whether the entry is still
+  /// present afterwards (false if it was absent).
+  bool subtract_headers(PortKey inport, PortKey outport,
+                        const std::vector<Hop>& path,
+                        const HeaderSet& headers);
+
+  /// Inports whose classifier slot is filled — built, whether or not the
+  /// inport turned out classifiable. Diagnostics and tests.
+  [[nodiscard]] std::size_t classifiers_built() const;
 
   [[nodiscard]] PathTableStats stats() const;
 
@@ -73,16 +142,32 @@ class PathTable {
   [[nodiscard]] std::vector<PortKey> outports(PortKey inport) const;
 
   [[nodiscard]] bool empty() const { return table_.empty(); }
-  void clear() { table_.clear(); }
+  void clear() { table_.clear(); }  // each Inport frees its classifier
 
   /// Debug invariant: header sets of same-pair entries are pairwise
   /// disjoint. O(paths^2) per pair — test use only.
   [[nodiscard]] bool disjoint_headers() const;
 
  private:
-  // inport -> outport -> paths. Two-level so an inport's entries can be
-  // dropped in O(1) during incremental updates.
-  std::unordered_map<PortKey, std::unordered_map<PortKey, EntryList>> table_;
+  /// One inport's entries by outport, and its classifier slot: null
+  /// until first asked for, then an owned classifier, or a shared
+  /// sentinel for an inport found unclassifiable. Pinned in place: the
+  /// map's nodes never move.
+  struct Inport {
+    std::unordered_map<PortKey, EntryList> by_out;
+    mutable std::atomic<const DstClassifier*> classifier{nullptr};
+
+    Inport() = default;
+    Inport(const Inport&) = delete;
+    Inport& operator=(const Inport&) = delete;
+    ~Inport() { drop_classifier(); }
+    /// Empties the slot; the next InportView::classifier refills it.
+    void drop_classifier();
+  };
+
+  // inport -> outport -> paths. Grouped by inport because the
+  // classifier spans all of an inport's outports.
+  std::unordered_map<PortKey, Inport> table_;
 };
 
 /// Structural equality of two path tables built over the SAME HeaderSpace:

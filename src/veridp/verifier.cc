@@ -315,12 +315,20 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
   for (const Bucket& bk : buckets) {
     live.clear();
 
-    // Pair probes with run sharing: a switch's report stream repeats
-    // the same (inport, outport) in bursts, so consecutive lanes reuse
-    // one lookup. Each new run is also vetted for the lockstep kernel:
-    // every entry's header set must live in one BDD arena (one
-    // HeaderSpace per table by construction; a mixed list — never built
-    // by our table builders — falls back to scalar lanes).
+    // One inport probe per run of same-inport lanes. A lane on a
+    // classified inport is decided by its dst interval's one entry
+    // (path_table.hpp): no pair probe, no BDD walk. The verdict is
+    // verify_report's, because on such an inport at most one entry
+    // across all outports admits the header.
+    //
+    // Other lanes take pair probes with run sharing: a switch's report
+    // stream repeats the same (inport, outport) in bursts, so
+    // consecutive lanes reuse one lookup. Each new run is also vetted
+    // for the lockstep kernel: every entry's header set must live in one
+    // BDD arena (one HeaderSpace per table by construction; a mixed list
+    // — never built by our table builders — falls back to scalar lanes).
+    PathTable::InportView in_view;
+    const PathTable::DstClassifier* cls = nullptr;
     const BddManager* mgr = nullptr;  // the bucket's (single) arena
     const PathTable::EntryList* run_paths = nullptr;
     bool have_run = false;
@@ -329,12 +337,27 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
     PortKey run_out{};
     for (std::uint32_t k : bk.lanes) {
       const std::size_t i = first + k;
-      if (!have_run || !(b.inport[i] == run_in) ||
-          !(b.outport[i] == run_out)) {
+      const bool new_in = !have_run || !(b.inport[i] == run_in);
+      if (new_in) {
         run_in = b.inport[i];
-        run_out = b.outport[i];
-        run_paths = bk.table->lookup(run_in, run_out);
         have_run = true;
+        in_view = bk.table->inport(run_in);
+        cls = in_view.classifier();
+      }
+      if (cls != nullptr) {
+        const DstClass& c = cls->at(b.header[i].dst_ip.value);
+        const PathEntry* p = c.entry;
+        if (p == nullptr || !(c.outport == b.outport[i]))
+          out[k] = Verdict{VerifyStatus::kNoPath, nullptr, b.epoch[i]};
+        else if (c.tag.value() == b.tag[i] && c.tag.bits() == b.tag_width[i])
+          out[k] = Verdict{VerifyStatus::kOk, p, b.epoch[i]};
+        else
+          out[k] = Verdict{VerifyStatus::kTagMismatch, p, b.epoch[i]};
+        continue;
+      }
+      if (new_in || !(b.outport[i] == run_out)) {
+        run_out = b.outport[i];
+        run_paths = in_view.lookup(run_out);
         run_batchable = true;
         if (run_paths) {
           for (const PathEntry& p : *run_paths) {

@@ -20,6 +20,7 @@
 #include "controller/routing.hpp"
 #include "testutil.hpp"
 #include "veridp/path_builder.hpp"
+#include "veridp/report_batch.hpp"
 #include "veridp/verifier.hpp"
 #include "veridp/workload.hpp"
 
@@ -157,6 +158,73 @@ TEST(ConcurrentReaders, ConcurrentSatCountIsGuardedAndDeterministic) {
   }
   for (std::thread& t : pool) t.join();
   for (unsigned t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expect);
+}
+
+
+// First use of a published table's dst classifiers (path_table.hpp): 8
+// threads run the batched kernel over one freshly published table's
+// inports at once, so they race to build and install the same slots; a
+// writer swaps in a fresh table mid-run and the race repeats on it.
+// Every lane must equal verify_report on the table the thread loaded.
+TEST(ConcurrentReaders, FirstUseClassifierBuildRaceFreeAcrossSnapshotSwap) {
+  Topology topo = fat_tree(4);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Network net(topo);
+  c.deploy(net);
+  ReportBatch batch;
+  for (const auto& f : workload::ping_all(topo)) {
+    const auto r = net.inject(f.header, f.entry, 0.0);
+    for (const TagReport& rep : r.reports) batch.push(rep);
+  }
+  ASSERT_GT(batch.size(), 0u);
+
+  std::atomic<std::shared_ptr<const PathTable>> published{build_table(c)};
+  ASSERT_EQ(published.load()->classifiers_built(), 0u);
+  std::atomic<unsigned> ready{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> lanes{0};
+
+  constexpr unsigned kThreads = 8;
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      std::vector<Verdict> out(batch.size());
+      std::uint64_t bad = 0, done = 0;
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+      }
+      // Until stopped, and at least one pass over the final table.
+      std::shared_ptr<const PathTable> table;
+      do {
+        table = published.load(std::memory_order_acquire);
+        EpochTables tables;
+        tables.current = table.get();
+        verify_epoch_aware_batch(batch, 0, batch.size(), tables, nullptr,
+                                 out.data());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const Verdict want = verify_report(batch.report(i), *table);
+          bad += want.status != out[i].status || want.matched != out[i].matched;
+        }
+        done += batch.size();
+      } while (!stop.load(std::memory_order_acquire) ||
+               table != published.load(std::memory_order_acquire));
+      mismatches.fetch_add(bad, std::memory_order_acq_rel);
+      lanes.fetch_add(done, std::memory_order_acq_rel);
+    });
+  }
+
+  while (ready.load(std::memory_order_acquire) < kThreads) {
+  }
+  const auto& [dst_port, subnet] = topo.subnets().front();
+  c.add_rule(dst_port.sw, 5000, Match::dst_prefix(subnet), Action::drop());
+  published.store(build_table(c), std::memory_order_release);
+  std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(lanes.load(), batch.size() * kThreads);
 }
 
 }  // namespace

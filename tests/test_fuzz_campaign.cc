@@ -84,6 +84,45 @@ TEST(FuzzCampaign, HarmfulRunCarriesGroundTruthAndBlame) {
   EXPECT_TRUE(r.regimes_seen & kSawNormal);
 }
 
+// The controller-side classes change the path table the server judges
+// by (an ACL'd inport, a rule outside §4.4's fragment), in both planes
+// at once, so they must never fail a report. Each runs twice: an ACL
+// added then removed at one port; a rule above its route, then one
+// below.
+TEST(FuzzCampaign, ControlChurnClassesAreBenign) {
+  struct Case {
+    const char* topo;
+    FuzzAction first, second;
+    const char* first_says;
+    const char* second_says;
+  };
+  const Case cases[] = {
+      {"linear",
+       {1, MutationClass::kAclChurn, 3, 0, 0, 0},
+       {3, MutationClass::kAclChurn, 3, 1, 0, 0}, " added", " removed"},
+      {"internet2",
+       {1, MutationClass::kOddPriority, 2, 1, 0, 0},
+       {3, MutationClass::kOddPriority, 5, 4, 0, 0}, "priority=50001",
+       "priority=1"},
+  };
+  for (const Case& c : cases) {
+    FuzzSchedule s;
+    s.seed = 27;
+    s.topo = c.topo;
+    s.actions = {c.first, c.second};
+    const RunResult r = CampaignRunner().run(s);
+    EXPECT_EQ(r.applied, 2) << r.trace;
+    EXPECT_NE(r.trace.find(c.first_says), std::string::npos) << r.trace;
+    EXPECT_NE(r.trace.find(c.second_says), std::string::npos) << r.trace;
+    EXPECT_EQ(r.harmful_effectful, 0);
+    EXPECT_EQ(r.failed_verdicts, 0u) << r.trace;
+    EXPECT_EQ(r.false_positives, 0u);
+    EXPECT_GT(r.passed, 0u);
+    EXPECT_TRUE(r.conserved);
+    EXPECT_TRUE(r.parallel_match);
+  }
+}
+
 TEST(FuzzCampaign, MalformedScheduleValuesAreClampedNotFatal) {
   // A mutated schedule may carry out-of-range knobs; the runner clamps
   // rather than crashing or hanging.
