@@ -42,8 +42,8 @@
 //     pick_random, size, top_var, low_of/high_of, is_false/is_true —
 //     walk the immutable node store and allocate nothing shared; any
 //     number of threads may run them concurrently. (PathTable's lazy
-//     dst classifier build relies on top_var, low_of and high_of
-//     being in this set.)
+//     classifier build relies on top_var, low_of and high_of being in
+//     this set, and its residual tests on eval_with.)
 //   * sat_count is logically read-only but memoizes; its cache is
 //     guarded by an internal shared_mutex (read-mostly after warm-up:
 //     concurrent warm hits share the lock), so it is safe concurrently

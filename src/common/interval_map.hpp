@@ -5,8 +5,9 @@
 // finds its interval with one branchless binary search: every step is a
 // conditional move, so the search costs about log2(n) dependent loads
 // and no mispredicted branches. Two contiguous arrays, no node
-// container: the dst-prefix index of FlowTable and the per-inport dst
-// classifier of PathTable both sit on per-packet paths.
+// container: the dst-prefix index of FlowTable and the src and dst
+// stages of PathTable's per-inport classifier all sit on per-packet
+// paths.
 //
 // Thread safety: a plain value. Concurrent `at` calls on a map nobody
 // writes are race-free.

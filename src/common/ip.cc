@@ -49,22 +49,6 @@ std::string to_string(Ipv4 ip) {
   return buf;
 }
 
-std::optional<Prefix> parse_prefix(const std::string& s) {
-  auto slash = s.find('/');
-  if (slash == std::string::npos) {
-    auto ip = parse_ipv4(s);
-    if (!ip) return std::nullopt;
-    return Prefix{*ip, 32};
-  }
-  auto ip = parse_ipv4(s.substr(0, slash));
-  if (!ip) return std::nullopt;
-  std::size_t pos = slash + 1;
-  std::string rest = s;
-  auto len = parse_component(rest, pos, 32);
-  if (!len || pos != s.size()) return std::nullopt;
-  return Prefix{*ip, static_cast<std::uint8_t>(*len)};
-}
-
 std::string to_string(const Prefix& p) {
   return to_string(Ipv4{p.addr}) + "/" + std::to_string(p.len);
 }

@@ -65,9 +65,6 @@ struct Prefix {
   [[nodiscard]] bool is_any() const { return len == 0; }
 };
 
-/// Parses "a.b.c.d/len"; a bare address is treated as /32.
-std::optional<Prefix> parse_prefix(const std::string& s);
-
 /// Formats as "a.b.c.d/len".
 std::string to_string(const Prefix& p);
 

@@ -114,18 +114,4 @@ const HeaderSet& TransferFunction::out_acl(PortId y) const {
   return out_acl_[y - 1];
 }
 
-std::vector<PortId> TransferFunction::active_out_ports() const {
-  std::vector<PortId> out;
-  for (PortId y = 1; y <= num_ports(); ++y) {
-    bool active = false;
-    for (const Plane& pl : plane_)
-      if (!pl.fwd[y - 1].empty()) {
-        active = true;
-        break;
-      }
-    if (active) out.push_back(y);
-  }
-  return out;
-}
-
 }  // namespace veridp

@@ -62,9 +62,6 @@ class TransferFunction {
   /// P^out_y.
   [[nodiscard]] const HeaderSet& out_acl(PortId y) const;
 
-  /// Output ports with non-empty P^fwd_{x,y} for some x.
-  [[nodiscard]] std::vector<PortId> active_out_ports() const;
-
   [[nodiscard]] PortId num_ports() const {
     return static_cast<PortId>(in_acl_.size());
   }

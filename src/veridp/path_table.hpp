@@ -9,16 +9,27 @@
 // which is what makes Algorithm 3's first-header-match verification
 // sound; a debug checker (`disjoint_headers`) asserts it in tests.
 //
-// Dst-interval classifier (DESIGN.md §11). On an inport whose entries
-// test only dst-IP bits and whose dst sets are pairwise disjoint across
-// ALL its outports, a header matches at most one entry, and its dst
-// address alone says which. Its classifier holds that inport's dst
-// intervals, each naming its one entry (or none), so Algorithm 3 there
-// is one interval search and a compare. Other inports (ACL'd, rewrites)
-// have none and keep the BDD walk. An inport's classifier is built on
-// the first call that asks for it (InportView::classifier), never when
-// the table is built, and each mutator drops the classifier of the
-// inport it edits.
+// Per-inport classifier (DESIGN.md §11). BDD variables run src IP
+// (0-31), then dst IP (32-63), then the rest, so fixing a header's src
+// bits leads every entry of an inport to one node, and fixing its dst
+// bits too leads to one more: the residual, a test on the remaining
+// fields only (TRUE for an entry that tests none). An inport's
+// classifier stores that in three stages: a src interval search picks
+// the src class (the src intervals on which every entry reaches the
+// same dst-level node), that class's dst interval search picks the
+// interval, and the interval lists its candidates — the entries whose
+// header set holds some header in it, in the order of their pair
+// lists, each with its residual. An entry contains a header exactly
+// when it is a candidate of the header's interval and its residual
+// holds the header's remaining bits, so Algorithm 3 there is two
+// interval searches and a residual test per same-outport candidate. An
+// inport whose entries test dst bits only has one class and no src
+// stage. Only an inport whose entries cut its fields into more than
+// 2^16 pieces (say, one testing every odd dst address) or with entries
+// from two BDD arenas has none and keeps the BDD walk. An inport's
+// classifier is built on the first call that asks for it
+// (InportView::classifier), never when the table is built, and each
+// mutator drops the classifier of the inport it edits.
 //
 // Thread-safety: a fully built PathTable read through its const
 // interface — lookup, inport, stats, for_each, outports, empty —
@@ -29,7 +40,9 @@
 // race-free too: the build only reads entries (read-only BDD walks),
 // the slot is an atomic pointer installed with a release CAS and read
 // with acquire, and a thread that loses the install race frees its own
-// copy and uses the winner's. The mutators (add_path, remove_path,
+// copy and uses the winner's. A built classifier is immutable, and its
+// residual tests (InportClassifier::admits) are read-only eval_with
+// walks in the entries' own arena. The mutators (add_path, remove_path,
 // subtract_headers, clear) and `disjoint_headers` (which runs BDD set
 // algebra on the shared manager) require exclusive access to the table
 // AND its HeaderSpace. The parallel server never mutates a published table; it
@@ -38,6 +51,7 @@
 // dropping a classifier there races with nothing.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -66,14 +80,54 @@ struct PathTableStats {
   double avg_path_length = 0.0; ///< mean hop count over all paths
 };
 
-/// One interval of an inport's dst classifier: the entry whose header
-/// set holds every dst in the interval, that entry's outport, and a copy
-/// of its tag (so a verdict loads no entry); a gap between entries has
-/// entry == nullptr.
-struct DstClass {
+/// One candidate of a classifier interval: an entry whose header set
+/// holds some header of the interval, that entry's outport, a copy of
+/// its tag (so a verdict loads no entry), its residual's index in the
+/// classifier (0: TRUE, no test) and the index of the interval's next
+/// candidate in the classifier's overflow list (0: none). A gap between
+/// entries is one candidate with entry == nullptr.
+struct IntervalCandidate {
   const PathEntry* entry = nullptr;
   PortKey outport{};
   BloomTag tag{BloomTag::kDefaultBits};
+  std::uint32_t residual = 0;
+  std::uint32_t next = 0;
+};
+
+/// One inport's classifier (see the header comment). Immutable once
+/// built; every residual lives in `mgr`'s arena.
+struct InportClassifier {
+  /// The arena of every residual, beside the refs it owns.
+  const BddManager* mgr = nullptr;
+  /// Residual BDDs by index; [0] is unused (index 0 is TRUE).
+  std::vector<BddRef> residuals;
+  /// src interval → class index; empty when there is one class.
+  IntervalMap<std::uint32_t> src;
+  /// Per class, dst interval → its first candidate.
+  std::vector<IntervalMap<IntervalCandidate>> classes;
+  /// Candidates after an interval's first, chained by `next`; [0] unused.
+  std::vector<IntervalCandidate> overflow;
+
+  /// The interval map of the class holding src address `src_ip`.
+  [[nodiscard]] const IntervalMap<IntervalCandidate>& dst_map(
+      std::uint32_t src_ip) const {
+    return src.empty() ? classes.front() : classes[src.at(src_ip)];
+  }
+  /// The candidate after `c` in its interval, or nullptr.
+  [[nodiscard]] const IntervalCandidate* next(
+      const IntervalCandidate& c) const {
+    return c.next == 0 ? nullptr : &overflow[c.next];
+  }
+  /// Whether `c`'s residual holds a header given as packed bits
+  /// (PacketHeader::bits_packed). Read-only BDD walk.
+  [[nodiscard]] bool admits(const IntervalCandidate& c,
+                            const std::array<std::uint64_t, 2>& bits) const {
+    return c.residual == 0 ||
+           mgr->eval_with(residuals[c.residual], [&bits](int v) {
+             return (bits[static_cast<std::size_t>(v >> 6)] >>
+                     (63 - (v & 63))) & 1;
+           });
+  }
 };
 
 class PathTable {
@@ -81,7 +135,6 @@ class PathTable {
 
  public:
   using EntryList = std::vector<PathEntry>;
-  using DstClassifier = IntervalMap<DstClass>;
 
   /// One inport's entries, found with one probe: what a verifier needs
   /// per report. Default-constructed, or for an inport without entries,
@@ -91,10 +144,10 @@ class PathTable {
     InportView() = default;
     /// The paths recorded for (this inport, outport), or nullptr.
     [[nodiscard]] const EntryList* lookup(PortKey outport) const;
-    /// This inport's dst-interval classifier (see the header comment),
-    /// built on the first call for the inport; nullptr if it is not
-    /// classifiable. Valid until the next mutation of its entries.
-    [[nodiscard]] const DstClassifier* classifier() const;
+    /// This inport's classifier (see the header comment), built on the
+    /// first call for the inport; nullptr if it is not classifiable.
+    /// Valid until the next mutation of its entries.
+    [[nodiscard]] const InportClassifier* classifier() const;
 
    private:
     friend class PathTable;
@@ -155,7 +208,7 @@ class PathTable {
   /// map's nodes never move.
   struct Inport {
     std::unordered_map<PortKey, EntryList> by_out;
-    mutable std::atomic<const DstClassifier*> classifier{nullptr};
+    mutable std::atomic<const InportClassifier*> classifier{nullptr};
 
     Inport() = default;
     Inport(const Inport&) = delete;

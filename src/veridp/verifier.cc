@@ -316,10 +316,13 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
     live.clear();
 
     // One inport probe per run of same-inport lanes. A lane on a
-    // classified inport is decided by its dst interval's one entry
-    // (path_table.hpp): no pair probe, no BDD walk. The verdict is
-    // verify_report's, because on such an inport at most one entry
-    // across all outports admits the header.
+    // classified inport (path_table.hpp) is decided by its src class and
+    // dst interval: no pair probe, no lockstep walk. Its same-outport
+    // candidates are exactly the entries verify_report would find
+    // holding the header's src and dst, in pair-list order; a candidate
+    // is a member when its residual holds the header's other bits, so
+    // the first member with an equal tag, else the first member, gives
+    // verify_report's verdict.
     //
     // Other lanes take pair probes with run sharing: a switch's report
     // stream repeats the same (inport, outport) in bursts, so
@@ -328,7 +331,7 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
     // BDD arena (one HeaderSpace per table by construction; a mixed list
     // — never built by our table builders — falls back to scalar lanes).
     PathTable::InportView in_view;
-    const PathTable::DstClassifier* cls = nullptr;
+    const InportClassifier* cls = nullptr;
     const BddManager* mgr = nullptr;  // the bucket's (single) arena
     const PathTable::EntryList* run_paths = nullptr;
     bool have_run = false;
@@ -345,14 +348,22 @@ void verify_epoch_aware_batch(const ReportBatch& b, std::size_t first,
         cls = in_view.classifier();
       }
       if (cls != nullptr) {
-        const DstClass& c = cls->at(b.header[i].dst_ip.value);
-        const PathEntry* p = c.entry;
-        if (p == nullptr || !(c.outport == b.outport[i]))
-          out[k] = Verdict{VerifyStatus::kNoPath, nullptr, b.epoch[i]};
-        else if (c.tag.value() == b.tag[i] && c.tag.bits() == b.tag_width[i])
-          out[k] = Verdict{VerifyStatus::kOk, p, b.epoch[i]};
-        else
-          out[k] = Verdict{VerifyStatus::kTagMismatch, p, b.epoch[i]};
+        const PacketHeader& h = b.header[i];
+        const IntervalCandidate& c0 =
+            cls->dst_map(h.src_ip.value).at(h.dst_ip.value);
+        Verdict v{VerifyStatus::kNoPath, nullptr, b.epoch[i]};
+        for (const IntervalCandidate* c = c0.entry ? &c0 : nullptr;
+             c != nullptr; c = cls->next(*c)) {
+          if (!(c->outport == b.outport[i]) || !cls->admits(*c, b.bits[i]))
+            continue;
+          if (c->tag.value() == b.tag[i] && c->tag.bits() == b.tag_width[i]) {
+            v = Verdict{VerifyStatus::kOk, c->entry, b.epoch[i]};
+            break;
+          }
+          if (v.matched == nullptr)
+            v = Verdict{VerifyStatus::kTagMismatch, c->entry, b.epoch[i]};
+        }
+        out[k] = v;
         continue;
       }
       if (new_in || !(b.outport[i] == run_out)) {

@@ -14,8 +14,8 @@
 // `verify_epoch_aware` touch only const PathTable lookups, BDD
 // membership evaluation and tag comparison, all race-free on immutable
 // tables (see the contracts in path_table.hpp / header_set.hpp /
-// bdd.hpp). The batched kernel may also install an inport's dst
-// classifier on first use, which path_table.hpp makes race-free. Any
+// bdd.hpp). The batched kernel may also install an inport's classifier
+// on first use, which path_table.hpp makes race-free. Any
 // number of threads may verify against the same table(s) concurrently;
 // this is what the ParallelServer workers rely on.
 #pragma once
@@ -241,12 +241,15 @@ class VerifyMemo {
 ///
 /// The speedup levers (DESIGN.md §11): lanes are bucketed by their
 /// epoch-resolved table so snapshot resolution happens once per bucket;
-/// a lane on an inport with a dst classifier (path_table.hpp) is decided
-/// by one interval search and a compare, with no pair probe and no BDD
-/// walk; on other inports consecutive same-pair lanes share one
-/// path-table probe, and BDD membership runs through
-/// BddManager::eval_packed_many, overlapping the dependent node loads
-/// across lanes; tags compare against raw columns. The memo probe still
+/// a lane on a classified inport (path_table.hpp) is decided by its src
+/// class, its dst interval and the residual tests of that interval's
+/// same-outport candidates, with no pair probe and no lockstep walk — on
+/// an inport whose entries test dst bits only, that is one interval
+/// search and a compare. Only an inport over the classifier's piece cap,
+/// or with entries in two BDD arenas, keeps the pair walk: consecutive
+/// same-pair lanes share one path-table probe, and BDD membership runs
+/// through BddManager::eval_packed_many, overlapping the dependent node
+/// loads across lanes. Tags compare against raw columns. The memo probe still
 /// runs first: the classifier replaces only memo-miss work. Lanes the
 /// kernel cannot take — no table covers the epoch (grace/stale/
 /// ahead-of-table edges) or a path list spans BDD arenas — fall back to
@@ -254,7 +257,7 @@ class VerifyMemo {
 /// by construction.
 ///
 /// Same memo contract as the scalar form (memo may be null). Reads the
-/// tables, besides installing dst classifiers on first use (race-free,
+/// tables, besides installing inport classifiers on first use (race-free,
 /// see path_table.hpp); single-threaded per (memo, out) like the
 /// scalar path.
 void verify_epoch_aware_batch(const ReportBatch& batch, std::size_t first,

@@ -161,24 +161,13 @@ TEST(ConcurrentReaders, ConcurrentSatCountIsGuardedAndDeterministic) {
 }
 
 
-// First use of a published table's dst classifiers (path_table.hpp): 8
-// threads run the batched kernel over one freshly published table's
-// inports at once, so they race to build and install the same slots; a
-// writer swaps in a fresh table mid-run and the race repeats on it.
-// Every lane must equal verify_report on the table the thread loaded.
-TEST(ConcurrentReaders, FirstUseClassifierBuildRaceFreeAcrossSnapshotSwap) {
-  Topology topo = fat_tree(4);
-  Controller c(topo);
-  routing::install_shortest_paths(c);
-  Network net(topo);
-  c.deploy(net);
-  ReportBatch batch;
-  for (const auto& f : workload::ping_all(topo)) {
-    const auto r = net.inject(f.header, f.entry, 0.0);
-    for (const TagReport& rep : r.reports) batch.push(rep);
-  }
+// First use of a published table's classifiers (path_table.hpp): 8
+// threads run the batched kernel over one freshly published table of `c`
+// at once, so they race to build and install the same slots; a writer
+// swaps in a fresh table mid-run and the race repeats on it. Every lane
+// must equal verify_report on the table the thread loaded.
+void expect_first_use_race_free(Controller& c, const ReportBatch& batch) {
   ASSERT_GT(batch.size(), 0u);
-
   std::atomic<std::shared_ptr<const PathTable>> published{build_table(c)};
   ASSERT_EQ(published.load()->classifiers_built(), 0u);
   std::atomic<unsigned> ready{0};
@@ -217,7 +206,7 @@ TEST(ConcurrentReaders, FirstUseClassifierBuildRaceFreeAcrossSnapshotSwap) {
 
   while (ready.load(std::memory_order_acquire) < kThreads) {
   }
-  const auto& [dst_port, subnet] = topo.subnets().front();
+  const auto& [dst_port, subnet] = c.topology().subnets().front();
   c.add_rule(dst_port.sw, 5000, Match::dst_prefix(subnet), Action::drop());
   published.store(build_table(c), std::memory_order_release);
   std::this_thread::yield();
@@ -225,6 +214,65 @@ TEST(ConcurrentReaders, FirstUseClassifierBuildRaceFreeAcrossSnapshotSwap) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GE(lanes.load(), batch.size() * kThreads);
+}
+
+/// The reports of every ping between `topo`'s hosts on a deployment of `c`.
+std::vector<TagReport> ping_reports(const Topology& topo,
+                                    const Controller& c) {
+  Network net(topo);
+  c.deploy(net);
+  std::vector<TagReport> reports;
+  for (const auto& f : workload::ping_all(topo)) {
+    const auto r = net.inject(f.header, f.entry, 0.0);
+    reports.insert(reports.end(), r.reports.begin(), r.reports.end());
+  }
+  return reports;
+}
+
+TEST(ConcurrentReaders, FirstUseClassifierBuildRaceFreeAcrossSnapshotSwap) {
+  Topology topo = fat_tree(4);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  ReportBatch batch;
+  for (const TagReport& r : ping_reports(topo, c)) batch.push(r);
+  expect_first_use_race_free(c, batch);
+}
+
+// The same race on ACL'd inports: their builds have a src stage, and the
+// lanes from inside a deny's src prefix evaluate dst_port residuals.
+TEST(ConcurrentReaders, FirstUseSrcClassBuildRaceFreeWithEdgeAcls) {
+  Topology topo = fat_tree(4);
+  Controller c(topo);
+  routing::install_shortest_paths(c);
+  Rng rng(41);
+  ASSERT_EQ(workload::add_edge_acls(c, rng, 12), 12u);
+  ReportBatch batch;
+  for (const TagReport& r : ping_reports(topo, c)) {
+    batch.push(r);
+    for (const AclEntry& a :
+         c.logical(r.inport.sw).in_acl(r.inport.port).entries()) {
+      if (a.permit || !a.match.dst_port) continue;
+      TagReport in_prefix = r;  // allowed: another dst_port
+      in_prefix.header.src_ip = Ipv4{a.match.src.addr};
+      batch.push(in_prefix);
+      in_prefix.header.dst_port = *a.match.dst_port;  // denied
+      batch.push(in_prefix);
+    }
+  }
+  // Some lane's interval holds a candidate whose residual it evaluates.
+  const std::shared_ptr<const PathTable> probe = build_table(c);
+  bool residual_lane = false;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const InportClassifier* cl = probe->inport(batch.inport[i]).classifier();
+    ASSERT_NE(cl, nullptr);
+    const PacketHeader& h = batch.header[i];
+    for (const IntervalCandidate* x =
+             &cl->dst_map(h.src_ip.value).at(h.dst_ip.value);
+         x != nullptr; x = cl->next(*x))
+      residual_lane = residual_lane || (x->entry && x->residual != 0);
+  }
+  EXPECT_TRUE(residual_lane);
+  expect_first_use_race_free(c, batch);
 }
 
 }  // namespace

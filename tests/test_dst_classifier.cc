@@ -1,11 +1,12 @@
-// The per-inport dst-interval classifier (path_table.hpp, DESIGN.md §11)
-// and the batched kernel lanes it decides. On the paper-scale tables the
-// kernel's verdicts — status, matched pointer, epoch — and the memo's end
-// state must equal the memoized scalar path, which runs verify_report's
-// BDD walk. Also: which inports are classified, that no build or publish
-// builds a classifier, that each mutator drops exactly the edited
-// inport's, and that a kIncremental table edited in place keeps
-// verdicts equal to a fresh rebuild across churn.
+// The per-inport classifier (path_table.hpp, DESIGN.md §11: src class →
+// dst interval → candidates with residuals) and the batched kernel lanes
+// it decides. On the paper-scale tables the kernel's verdicts — status,
+// matched pointer, epoch — and the memo's end state must equal the
+// memoized scalar path, which runs verify_report's BDD walk. Also: which
+// inports are classified, that no build or publish builds a classifier,
+// that each mutator drops exactly the edited inport's, and that a
+// kIncremental table edited in place keeps verdicts equal to a fresh
+// rebuild across churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,11 +69,21 @@ void expect_batch_equals_scalar(const std::vector<TagReport>& stream,
   }
 }
 
-/// A header in `c`'s first gap interval (no entry), if it has one.
-std::optional<PacketHeader> gap_header(const PathTable::DstClassifier& c) {
-  for (std::size_t i = 0; i < c.starts.size(); ++i)
-    if (c.values[i].entry == nullptr)
-      return header(Ipv4::of(10, 9, 9, 9), Ipv4{c.starts[i]});
+/// A header in the first gap (an interval without candidates) of `c`,
+/// with a src address of the gap's class, if `c` has a gap.
+std::optional<PacketHeader> gap_header(const InportClassifier& c) {
+  for (std::size_t k = 0; k < c.classes.size(); ++k) {
+    std::uint32_t src = Ipv4::of(10, 9, 9, 9).value;
+    for (std::size_t i = 0; i < c.src.starts.size(); ++i)
+      if (c.src.values[i] == k) {
+        src = c.src.starts[i];
+        break;
+      }
+    const IntervalMap<IntervalCandidate>& d = c.classes[k];
+    for (std::size_t i = 0; i < d.starts.size(); ++i)
+      if (d.values[i].entry == nullptr)
+        return header(Ipv4{src}, Ipv4{d.starts[i]});
+  }
   return std::nullopt;
 }
 
@@ -104,7 +115,7 @@ std::vector<TagReport> report_kinds(const PathTable& table,
   std::sort(inports.begin(), inports.end());
   inports.erase(std::unique(inports.begin(), inports.end()), inports.end());
   for (const PortKey in : inports) {
-    const PathTable::DstClassifier* c = table.inport(in).classifier();
+    const InportClassifier* c = table.inport(in).classifier();
     if (c == nullptr) continue;
     if (const auto h = gap_header(*c))
       stream.push_back(TagReport{in, table.outports(in).front(), *h,
@@ -134,26 +145,73 @@ Counts classify_all(const PathTable& table) {
   return c;
 }
 
-void differential_on(bench::Setup s, bool expect_unclassified) {
+/// Per ACL'd inport, for each deny of its ingress ACL, a report of a
+/// header that deny drops: a passing report's header with its src moved
+/// into the deny's src prefix and its dst_port set to the denied port.
+/// The packet never leaves the inport's switch, so no path to the
+/// reported outport admits it.
+std::vector<TagReport> denied_reports(const bench::Setup& s,
+                                      const PathTable& table) {
+  std::vector<TagReport> stream;
+  std::vector<PortKey> seen;
+  Rng rng(29);
+  table.for_each([&](PortKey in, PortKey out, const PathEntry& e) {
+    if (out.port == kDropPort ||
+        std::find(seen.begin(), seen.end(), in) != seen.end())
+      return;
+    const auto h = e.headers.sample(rng);
+    if (!h) return;
+    seen.push_back(in);
+    for (const AclEntry& a :
+         s.controller.logical(in.sw).in_acl(in.port).entries()) {
+      if (a.permit || !a.match.dst_port) continue;
+      TagReport r{in, out, *h, e.tag};
+      r.header.src_ip = Ipv4{a.match.src.addr};
+      r.header.dst_port = *a.match.dst_port;
+      stream.push_back(r);
+    }
+  });
+  return stream;
+}
+
+/// Whether some classified inport of `table` has a src stage: an
+/// ingress ACL's src prefixes split its header space into classes.
+bool has_src_stage(const PathTable& table) {
+  bool found = false;
+  table.for_each([&](PortKey in, PortKey, const PathEntry&) {
+    const InportClassifier* c = table.inport(in).classifier();
+    found = found || (c != nullptr && !c->src.empty());
+  });
+  return found;
+}
+
+/// Every inport classifies, and the kernel agrees with the scalar path
+/// on passing, wrong-tag, wrong-outport, gap and (with ACLs) denied
+/// reports.
+void differential_on(bench::Setup s, bool acls) {
   auto [table, secs] = bench::timed_build(s);
   (void)secs;
   EpochTables tables;
   tables.current = &table;
-  const std::vector<TagReport> stream = report_kinds(table, 3000);
+  std::vector<TagReport> stream = report_kinds(table, 3000);
   ASSERT_FALSE(stream.empty());
+  const std::vector<TagReport> denied = denied_reports(s, table);
+  EXPECT_EQ(denied.empty(), !acls) << s.name;
+  for (const TagReport& r : denied) {
+    ASSERT_EQ(verify_report(r, table).status, VerifyStatus::kNoPath);
+    stream.push_back(r);
+  }
+  std::shuffle(stream.begin(), stream.end(), std::mt19937_64(7));
   expect_batch_equals_scalar(stream, tables);
 
   const Counts c = classify_all(table);
   EXPECT_GT(c.classified, 0u) << s.name;
-  if (expect_unclassified) {
-    EXPECT_GT(c.unclassified, 0u) << s.name << ": ACL'd inports";
-  } else {
-    EXPECT_EQ(c.unclassified, 0u) << s.name;
-  }
+  EXPECT_EQ(c.unclassified, 0u) << s.name;
+  EXPECT_EQ(has_src_stage(table), acls) << s.name;
 }
 
 TEST(DstClassifier, StanfordMatchesScalarIncludingAclInports) {
-  differential_on(bench::make_stanford(), /*expect_unclassified=*/true);
+  differential_on(bench::make_stanford(), /*acls=*/true);
 }
 
 TEST(DstClassifier, Internet2MatchesScalar) {
@@ -162,6 +220,13 @@ TEST(DstClassifier, Internet2MatchesScalar) {
 
 TEST(DstClassifier, FatTree8MatchesScalar) {
   differential_on(bench::make_fat_tree(8), false);
+}
+
+TEST(DstClassifier, AclFatTree4MatchesScalar) {
+  bench::Setup s = bench::make_fat_tree(4);
+  Rng rng(31);
+  ASSERT_EQ(workload::add_edge_acls(s.controller, rng, 12), 12u);
+  differential_on(std::move(s), true);
 }
 
 // The same reports judged across a retired and a current table: the
@@ -280,54 +345,110 @@ TEST(DstClassifier, MutatorsDropOnlyTheEditedInport) {
   EXPECT_EQ(table.classifiers_built(), 0u);
 }
 
-// Outside the dst-only, pairwise-disjoint fragment an inport has no
-// classifier: a src test (an ACL'd inport), or two entries whose dst sets
-// overlap (a rewrite can make them). A classified inport maps every
-// address, gaps included.
-TEST(DstClassifier, OnlyDstOnlyDisjointInportsClassify) {
+/// verify_report and the batched kernel (no memo) agree on every
+/// report, and the inport is classified iff `classified`.
+void expect_kernel_equals_verify_report(const PathTable& t, PortKey in,
+                                        const std::vector<TagReport>& stream,
+                                        bool classified) {
+  EXPECT_EQ(t.inport(in).classifier() != nullptr, classified);
+  ReportBatch soa;
+  for (const TagReport& r : stream) soa.push(r);
+  std::vector<Verdict> got(stream.size());
+  EpochTables tables;
+  tables.current = &t;
+  verify_epoch_aware_batch(soa, 0, soa.size(), tables, nullptr, got.data());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Verdict want = verify_report(stream[i], t);
+    EXPECT_EQ(got[i].status, want.status) << "report " << i;
+    EXPECT_EQ(got[i].matched, want.matched) << "report " << i;
+  }
+}
+
+// ACL'd and overlapping inports classify: a src-tested entry with a
+// dst_port residual, two overlapping entries on one outport, a forward
+// entry and a drop entry split by a residual, and gaps. The verdicts —
+// status and matched — equal verify_report's. Only an inport over the
+// piece cap keeps the pair walk.
+TEST(DstClassifier, AclAndOverlappingInportsClassifyAndMatchVerifyReport) {
   HeaderSpace space;
   const PortKey in{0, 1};
-  const BloomTag tag(16);
-  const Prefix p10{Ipv4::of(10, 0, 0, 0), 8};
-  const Prefix p10_1{Ipv4::of(10, 1, 0, 0), 16};
+  const PortKey fwd{1, 2};
+  const PortKey drop{0, kDropPort};
+  const BloomTag tag_a = BloomTag::of_hop(Hop{0, 1, 2});
+  const BloomTag tag_b = BloomTag::of_hop(Hop{0, 1, 3});
+  const Prefix p10{Ipv4::of(10, 0, 0, 0).value, 8};
+  const Prefix p10_1{Ipv4::of(10, 1, 0, 0).value, 16};
+  const Prefix src_deny{Ipv4::of(172, 16, 0, 0).value, 12};
+  const HeaderSet dst10 = space.ip_prefix(Field::DstIp, p10);
+  const HeaderSet dst10_1 = space.ip_prefix(Field::DstIp, p10_1);
+  const HeaderSet denied = space.ip_prefix(Field::SrcIp, src_deny) &
+                           space.field_eq(Field::DstPort, 23);
 
+  // An ACL'd inport: 10/8 forwards unless src is in 172.16/12 and
+  // dst_port is 23; those go to the drop port. 10.1/16 overlaps 10/8 on
+  // the same outport, listed first, with another tag: first match wins.
   PathTable t;
-  t.add_path(in, {1, 2}, space.ip_prefix(Field::DstIp, p10_1), {Hop{1, 0, 2}},
-             tag);
-  t.add_path(in, {2, 2},
-             space.ip_prefix(Field::DstIp, p10) -
-                 space.ip_prefix(Field::DstIp, p10_1),
-             {Hop{1, 0, 3}}, tag);
-  const PathTable::DstClassifier* c = t.inport(in).classifier();
+  t.add_path(in, fwd, dst10_1 - denied, {Hop{0, 1, 3}}, tag_b);
+  t.add_path(in, fwd, dst10 - denied, {Hop{0, 1, 2}}, tag_a);
+  t.add_path(in, drop, dst10 & denied, {Hop{0, 1, kDropPort}}, tag_a);
+
+  const auto hdr = [](Ipv4 src, Ipv4 dst, std::uint16_t dport) {
+    PacketHeader h = header(src, dst);
+    h.dst_port = dport;
+    return h;
+  };
+  const Ipv4 src_in = Ipv4::of(172, 20, 1, 1);
+  const Ipv4 src_out = Ipv4::of(192, 168, 0, 1);
+  std::vector<TagReport> stream;
+  for (const Ipv4 src : {src_in, src_out, Ipv4{0}, Ipv4{~0u}})
+    for (const Ipv4 dst : {Ipv4::of(10, 1, 2, 3), Ipv4::of(10, 2, 0, 0),
+                           Ipv4::of(10, 255, 255, 255), Ipv4{0},
+                           Ipv4::of(11, 0, 0, 0), Ipv4{~0u}})
+      for (const std::uint16_t dport : {23, 80})
+        for (const PortKey out : {fwd, drop, PortKey{2, 2}})
+          for (const BloomTag& tag : {tag_a, tag_b})
+            stream.push_back(TagReport{in, out, hdr(src, dst, dport), tag});
+  expect_kernel_equals_verify_report(t, in, stream, true);
+  const InportClassifier* c = t.inport(in).classifier();
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->at(Ipv4::of(10, 1, 2, 3).value).outport, (PortKey{1, 2}));
-  EXPECT_EQ(c->at(Ipv4::of(10, 2, 0, 0).value).outport, (PortKey{2, 2}));
-  EXPECT_EQ(c->at(Ipv4::of(10, 255, 255, 255).value).outport,
-            (PortKey{2, 2}));
-  EXPECT_EQ(c->at(0).entry, nullptr);
-  EXPECT_EQ(c->at(Ipv4::of(11, 0, 0, 0).value).entry, nullptr);
-  EXPECT_EQ(c->at(~0u).entry, nullptr);
+  EXPECT_FALSE(c->src.empty());      // a src stage: the deny prefix
+  EXPECT_GT(c->residuals.size(), 1u);  // and a dst_port residual
 
-  PathTable overlap;
-  overlap.add_path(in, {1, 2}, space.ip_prefix(Field::DstIp, p10),
-                   {Hop{1, 0, 2}}, tag);
-  overlap.add_path(in, {2, 2}, space.ip_prefix(Field::DstIp, p10_1),
-                   {Hop{1, 0, 3}}, tag);
-  EXPECT_EQ(overlap.inport(in).classifier(), nullptr);
-  EXPECT_EQ(overlap.classifiers_built(), 1u);  // the verdict is kept too
+  // The overlap resolves by pair-list order: a 10.1/16 header from an
+  // allowed src is in both fwd entries. With tag_a it passes on the
+  // second (the first's tag differs); with a tag neither has, it is a
+  // mismatch whose matched entry is the first.
+  const TagReport overlap{in, fwd, hdr(src_out, Ipv4::of(10, 1, 0, 9), 80),
+                          tag_a};
+  const Verdict want = verify_report(overlap, t);
+  EXPECT_EQ(want.status, VerifyStatus::kOk);  // the second entry's tag
+  EXPECT_EQ(want.matched, &t.lookup(in, fwd)->at(1));
+  const TagReport mismatch{in, fwd, overlap.header,
+                           BloomTag::of_hop(Hop{9, 9, 9})};
+  EXPECT_EQ(verify_report(mismatch, t).matched, &t.lookup(in, fwd)->at(0));
+  expect_kernel_equals_verify_report(t, in, {overlap, mismatch}, true);
 
-  PathTable acl;
-  acl.add_path(in, {1, 2},
-               space.ip_prefix(Field::DstIp, p10) &
-                   space.ip_prefix(Field::SrcIp, p10_1),
-               {Hop{1, 0, 2}}, tag);
-  EXPECT_EQ(acl.inport(in).classifier(), nullptr);
+  // Every odd dst address up to 2^17 + 1: 2^16 + 1 pieces, one over the
+  // cap, so the inport keeps the pair walk.
+  std::vector<HeaderSet> odd_dsts;
+  for (std::uint32_t d = 1; d <= (1u << 17) + 1; d += 2)
+    odd_dsts.push_back(space.ip_prefix(Field::DstIp, Prefix{d, 32}));
+  PathTable odd;
+  odd.add_path(in, fwd, space.union_all(odd_dsts), {Hop{0, 1, 2}}, tag_a);
+  std::vector<TagReport> odd_stream;
+  for (std::uint32_t d = 0; d < 8; ++d)
+    odd_stream.push_back(TagReport{in, fwd, hdr(src_out, Ipv4{d}, 80), tag_a});
+  expect_kernel_equals_verify_report(odd, in, odd_stream, false);
+  EXPECT_EQ(odd.classifiers_built(), 1u);  // the verdict is kept too
 
   PathTable whole;
-  whole.add_path(in, {1, 2}, space.all(), {Hop{1, 0, 2}}, tag);
-  ASSERT_NE(whole.inport(in).classifier(), nullptr);
-  EXPECT_EQ(whole.inport(in).classifier()->starts.size(), 1u);
-  EXPECT_NE(whole.inport(in).classifier()->at(~0u).entry, nullptr);
+  whole.add_path(in, fwd, space.all(), {Hop{0, 1, 2}}, tag_a);
+  const InportClassifier* w = whole.inport(in).classifier();
+  ASSERT_NE(w, nullptr);
+  EXPECT_TRUE(w->src.empty());
+  ASSERT_EQ(w->classes.size(), 1u);
+  EXPECT_EQ(w->classes[0].starts.size(), 1u);
+  EXPECT_NE(w->classes[0].at(~0u).entry, nullptr);
 }
 
 /// `matched` across two tables: both null, or entries with the same hop

@@ -59,19 +59,6 @@ TEST(Prefix, ContainsPrefixIsPartialOrder) {
   EXPECT_TRUE(a.contains(a));  // reflexive
 }
 
-TEST(Prefix, ParseFormats) {
-  auto p = parse_prefix("10.1.0.0/16");
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->len, 16);
-  EXPECT_EQ(to_string(*p), "10.1.0.0/16");
-  auto host = parse_prefix("10.1.2.3");
-  ASSERT_TRUE(host);
-  EXPECT_EQ(host->len, 32);
-  EXPECT_FALSE(parse_prefix("10.1.0.0/33").has_value());
-  EXPECT_FALSE(parse_prefix("10.1.0.0/").has_value());
-  EXPECT_FALSE(parse_prefix("/8").has_value());
-}
-
 TEST(PortKey, FormattingAndDropPort) {
   EXPECT_EQ(to_string(PortKey{3, 2}), "<S3, 2>");
   EXPECT_EQ(to_string(PortKey{3, kDropPort}), "<S3, _|_>");

@@ -84,16 +84,6 @@ TEST(Transfer, OutboundAclBlocksAndDrops) {
   EXPECT_TRUE(tf.transfer(1, kDropPort).contains(to(Ipv4::of(10, 0, 0, 1), 22)));
 }
 
-TEST(Transfer, ActiveOutPorts) {
-  HeaderSpace space;
-  SwitchConfig cfg;
-  cfg.table.add(FlowRule{1, 8,
-                         Match::dst_prefix(Prefix{Ipv4::of(10, 0, 0, 0), 8}),
-                         Action::output(3)});
-  const auto tf = TransferFunction::compute(space, cfg, 4);
-  EXPECT_EQ(tf.active_out_ports(), (std::vector<PortId>{3}));
-}
-
 // ---- The partition/agreement property -------------------------------------
 
 // Both fields 8 bytes wide: no padding, so gtest's byte printout (and
